@@ -23,11 +23,10 @@
 //! floor for the next backoff sleep, including a `Retry-After` the
 //! router forwarded from a shedding backend.
 
-use crate::http::{read_response, write_request};
+use crate::http::{self, KeepAliveConn};
 use crate::wire::{MapRequest, MapResponse, WireError};
+use std::io::Read;
 use std::str::FromStr;
-use std::io::{BufReader, Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// Why a client call failed.
@@ -117,13 +116,6 @@ pub struct HttpReply {
     pub backend: Option<String>,
 }
 
-/// One warm keep-alive connection plus how many requests it has carried.
-struct KeptConn {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-    served: usize,
-}
-
 /// A `cfmapd` client: an address plus a [`ClientConfig`], holding one
 /// keep-alive connection warm between requests.
 #[derive(Debug)]
@@ -133,12 +125,17 @@ pub struct Client {
     /// Jitter state (xorshift64*), advanced per backoff sleep.
     jitter: u64,
     /// The warm connection, if the last exchange left one reusable.
-    conn: Option<KeptConn>,
+    conn: Option<KeepAliveConn>,
 }
 
-impl std::fmt::Debug for KeptConn {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "KeptConn(served: {})", self.served)
+impl From<http::Response> for HttpReply {
+    fn from(resp: http::Response) -> HttpReply {
+        HttpReply {
+            status: resp.status,
+            body: resp.body,
+            retry_after: resp.retry_after,
+            backend: resp.backend,
+        }
     }
 }
 
@@ -165,7 +162,7 @@ impl Client {
     ) -> Result<HttpReply, ClientError> {
         let mut attempt = 0u32;
         loop {
-            let outcome = self.exchange(method, path, body);
+            let outcome = self.send_once(method, path, body);
             let retryable = match &outcome {
                 Ok(reply) => reply.status == 503,
                 Err(ClientError::Io(_)) => true,
@@ -183,38 +180,43 @@ impl Client {
         }
     }
 
-    /// One exchange, preferring the warm connection. A failure on a
+    /// One attempt, preferring the warm connection. A failure on a
     /// *reused* socket is expected wear (the server retires connections
     /// after a request bound and a short idle window), so it falls back
     /// to one fresh connection before reporting anything; only the
     /// fresh connection's failure escapes as an error.
-    fn exchange(
+    fn send_once(
         &mut self,
         method: &str,
         path: &str,
         body: Option<&str>,
     ) -> Result<HttpReply, ClientError> {
-        if let Some(mut conn) = self.conn.take() {
-            if let Ok(reply) = exchange_on(&mut conn, method, path, &self.addr, body) {
-                conn.served += 1;
-                if reply.0 && conn.served < self.config.max_requests_per_conn {
-                    self.conn = Some(conn);
+        loop {
+            let (mut conn, reused) = match self.conn.take() {
+                Some(conn) => (conn, true),
+                None => {
+                    let c = &self.config;
+                    let conn = KeepAliveConn::open(
+                        &self.addr,
+                        c.connect_timeout,
+                        c.read_timeout,
+                        c.write_timeout,
+                    )?;
+                    (conn, false)
                 }
-                return Ok(reply.1);
+            };
+            match conn.exchange(method, path, body) {
+                Ok(resp) => {
+                    if conn.reusable(&resp, self.config.max_requests_per_conn) {
+                        self.conn = Some(conn);
+                    }
+                    return Ok(resp.into());
+                }
+                // Stale: drop it and go fresh.
+                Err(_) if reused => {}
+                Err(e) => return Err(e.into()),
             }
-            // Stale: drop it and go fresh.
         }
-        let stream = connect(&self.addr, self.config.connect_timeout)?;
-        stream.set_read_timeout(Some(self.config.read_timeout))?;
-        stream.set_write_timeout(Some(self.config.write_timeout))?;
-        let reader = BufReader::new(stream.try_clone()?);
-        let mut conn = KeptConn { stream, reader, served: 0 };
-        let (reusable, reply) = exchange_on(&mut conn, method, path, &self.addr, body)?;
-        conn.served += 1;
-        if reusable && conn.served < self.config.max_requests_per_conn {
-            self.conn = Some(conn);
-        }
-        Ok(reply)
     }
 
     /// POST a path with a JSON body.
@@ -256,29 +258,10 @@ impl Client {
     }
 }
 
-/// One keep-alive exchange on an existing connection. Returns whether
-/// the connection is reusable afterwards, plus the reply.
-fn exchange_on(
-    conn: &mut KeptConn,
-    method: &str,
-    path: &str,
-    host: &str,
-    body: Option<&str>,
-) -> Result<(bool, HttpReply), ClientError> {
-    write_request(&mut conn.stream, method, path, host, body, true, &[])?;
-    let resp = read_response(&mut conn.reader)?;
-    Ok((
-        resp.keep_alive,
-        HttpReply {
-            status: resp.status,
-            body: resp.body,
-            retry_after: resp.retry_after,
-            backend: resp.backend,
-        },
-    ))
-}
-
 /// One request/response exchange with explicit timeouts, no retries.
+/// The reply is framed by EOF, not by [`http::read_response`], so a body
+/// above [`http::MAX_BODY_BYTES`] (a large `/cache/save` snapshot)
+/// still downloads.
 fn request_once(
     addr: &str,
     config: &ClientConfig,
@@ -286,17 +269,9 @@ fn request_once(
     path: &str,
     body: Option<&str>,
 ) -> Result<HttpReply, ClientError> {
-    let mut stream = connect(addr, config.connect_timeout)?;
-    stream.set_read_timeout(Some(config.read_timeout))?;
-    stream.set_write_timeout(Some(config.write_timeout))?;
-    let payload = body.unwrap_or("");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        payload.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(payload.as_bytes())?;
-    stream.flush()?;
+    let mut stream =
+        http::connect(addr, config.connect_timeout, config.read_timeout, config.write_timeout)?;
+    http::write_request(&mut stream, method, path, addr, body, false, &[])?;
 
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;
@@ -325,21 +300,6 @@ fn request_once(
             .then(|| value.trim().to_string())
     });
     Ok(HttpReply { status, body: body.to_string(), retry_after, backend })
-}
-
-/// `TcpStream::connect` with an explicit timeout (resolves `addr` and
-/// tries each candidate in turn).
-fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, ClientError> {
-    let mut last_err: Option<std::io::Error> = None;
-    for candidate in addr.to_socket_addrs()? {
-        match TcpStream::connect_timeout(&candidate, timeout) {
-            Ok(stream) => return Ok(stream),
-            Err(e) => last_err = Some(e),
-        }
-    }
-    Err(ClientError::Io(last_err.unwrap_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("{addr} resolves to nothing"))
-    })))
 }
 
 /// Issue one request and read the full reply (`Connection: close`),

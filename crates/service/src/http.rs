@@ -1,22 +1,33 @@
-//! Shared HTTP/1.1 primitives for the daemon, the router, and the
+//! Shared HTTP/1.1 transport for the daemon, the router, and the
 //! pooled client.
 //!
-//! One parser, one response writer, one response reader — `cfmapd`
-//! (server side), `cfmapd-router` (both sides: it is a server to
-//! clients and a client to backends), and [`crate::client`] all speak
-//! the same byte-level subset: request line, headers, `Content-Length`
-//! body. Keeping the framing in one module is what makes keep-alive
-//! safe to add: every reader frames by `Content-Length`, so a reused
-//! connection never swallows the next message's bytes.
+//! One parser, one message writer, one response reader, one connector
+//! and one keep-alive connection type — `cfmapd` (server side),
+//! `cfmapd-router` (both sides: it is a server to clients and a client
+//! to backends), and [`crate::client`] all speak the same byte-level
+//! subset: request line, headers, `Content-Length` body. Keeping the
+//! framing in one module is what makes keep-alive safe to add: every
+//! reader frames by `Content-Length`, so a reused connection never
+//! swallows the next message's bytes.
 //!
 //! Keep-alive is strictly *opt-in*: a connection stays open only when
 //! the peer explicitly sends `Connection: keep-alive`. Clients that
 //! frame responses by EOF (the original `Connection: close` protocol,
 //! still used by the fault-injection harness and raw-socket tests) are
 //! untouched.
+//!
+//! The wire rule: every message leaves in one `write_all`, and every
+//! socket — connected through [`connect`] or accepted and passed to
+//! [`tune`] — sets `TCP_NODELAY`. Written as head then body, a message
+//! on a reused connection stalls: Nagle's algorithm holds the body back
+//! until the peer acknowledges the head, and the peer delays that ACK
+//! (40 ms or more on Linux). A fresh connection hides the stall because
+//! Linux acknowledges its first segments at once. `TCP_NODELAY` covers
+//! the last segment of a message too large for one segment.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpStream, ToSocketAddrs};
+use std::time::Duration;
 
 /// Request bodies above this size are refused with `413` — mapping
 /// requests are a few hundred bytes; megabytes signal a confused client.
@@ -148,6 +159,19 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadEr
         .map_err(|_| ReadError::Malformed("body is not UTF-8".into()))
 }
 
+/// Block until the next request's first byte is buffered. `false` when
+/// the peer closed the connection or the read failed (its timeout ran
+/// out): there is no request to answer.
+pub fn await_request(reader: &mut BufReader<TcpStream>) -> bool {
+    loop {
+        match reader.fill_buf() {
+            Ok(buf) => return !buf.is_empty(),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(_) => return false,
+        }
+    }
+}
+
 /// Write a `Connection: close` HTTP/1.1 response.
 pub fn write_response(
     stream: &mut TcpStream,
@@ -182,20 +206,11 @@ pub fn write_response_extra(
         _ => "Status",
     };
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let mut head = format!(
+    let head = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
         body.len()
     );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    send_message(stream, head, extra_headers, body)
 }
 
 /// Write one request. `keep_alive` controls the `Connection` header;
@@ -212,23 +227,34 @@ pub fn write_request(
 ) -> std::io::Result<()> {
     let payload = body.unwrap_or("");
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let mut head = format!(
+    let head = format!(
         "{method} {path} HTTP/1.1\r\nHost: {host}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {connection}\r\n",
         payload.len()
     );
-    for (name, value) in extra_headers {
-        head.push_str(name);
-        head.push_str(": ");
-        head.push_str(value);
-        head.push_str("\r\n");
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(payload.as_bytes())?;
-    stream.flush()
+    send_message(stream, head, extra_headers, payload)
 }
 
-/// A parsed HTTP response, as read by the pooled client side.
+/// Finish `msg` — a start line and its fixed headers — with the extra
+/// headers, the blank line and the body, and send the whole message in
+/// one `write_all` (see the module docs for why it must be one).
+fn send_message(
+    stream: &mut TcpStream,
+    mut msg: String,
+    extra_headers: &[(&str, &str)],
+    body: &str,
+) -> std::io::Result<()> {
+    for (name, value) in extra_headers {
+        msg.push_str(name);
+        msg.push_str(": ");
+        msg.push_str(value);
+        msg.push_str("\r\n");
+    }
+    msg.push_str("\r\n");
+    msg.push_str(body);
+    stream.write_all(msg.as_bytes())
+}
+
+/// A parsed HTTP response, as read by the client side.
 #[derive(Debug)]
 pub struct Response {
     /// Status code.
@@ -315,4 +341,93 @@ pub fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<Respo
         }
     };
     Ok(Response { status, body, retry_after, backend, keep_alive })
+}
+
+/// Tune a connected or accepted socket for request/response traffic:
+/// `TCP_NODELAY` on, plus the given read and write timeouts. Every
+/// setting is attempted; the first failure is returned.
+pub fn tune(
+    stream: &TcpStream,
+    read_timeout: Duration,
+    write_timeout: Duration,
+) -> std::io::Result<()> {
+    let nodelay = stream.set_nodelay(true);
+    let read = stream.set_read_timeout(Some(read_timeout));
+    let write = stream.set_write_timeout(Some(write_timeout));
+    nodelay.and(read).and(write)
+}
+
+/// Connect to `addr` within `connect_timeout`, trying each resolved
+/// address in turn, and [`tune`] the socket.
+pub fn connect(
+    addr: &str,
+    connect_timeout: Duration,
+    read_timeout: Duration,
+    write_timeout: Duration,
+) -> std::io::Result<TcpStream> {
+    let mut last: Option<std::io::Error> = None;
+    for candidate in addr.to_socket_addrs()? {
+        match TcpStream::connect_timeout(&candidate, connect_timeout) {
+            Ok(stream) => {
+                tune(&stream, read_timeout, write_timeout)?;
+                return Ok(stream);
+            }
+            Err(e) => last = Some(e),
+        }
+    }
+    Err(last.unwrap_or_else(|| {
+        std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("{addr} resolves to nothing"))
+    }))
+}
+
+/// One client-side keep-alive connection: the socket, a buffered reader
+/// over a clone of it, the address it was opened to (sent as `Host`),
+/// and how many exchanges it has carried. [`crate::client::Client`],
+/// the router's upstream pool and its health probe all talk through it.
+pub struct KeepAliveConn {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+    host: String,
+    served: usize,
+}
+
+impl KeepAliveConn {
+    /// Open a connection to `addr` (see [`connect`]).
+    pub fn open(
+        addr: &str,
+        connect_timeout: Duration,
+        read_timeout: Duration,
+        write_timeout: Duration,
+    ) -> std::io::Result<KeepAliveConn> {
+        let stream = connect(addr, connect_timeout, read_timeout, write_timeout)?;
+        let reader = BufReader::new(stream.try_clone()?);
+        Ok(KeepAliveConn { stream, reader, host: addr.to_string(), served: 0 })
+    }
+
+    /// Send one `Connection: keep-alive` request and read its response.
+    pub fn exchange(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<&str>,
+    ) -> std::io::Result<Response> {
+        write_request(&mut self.stream, method, path, &self.host, body, true, &[])?;
+        let response = read_response(&mut self.reader)?;
+        self.served += 1;
+        Ok(response)
+    }
+
+    /// May the connection carry another request after `response`? Only
+    /// if the server kept it open and it has served fewer than
+    /// `max_requests` (callers stay below the server's own bound, so the
+    /// server never hangs up between their write and read).
+    pub fn reusable(&self, response: &Response, max_requests: usize) -> bool {
+        response.keep_alive && self.served < max_requests
+    }
+}
+
+impl std::fmt::Debug for KeepAliveConn {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "KeepAliveConn({}, served: {})", self.host, self.served)
+    }
 }

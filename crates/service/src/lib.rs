@@ -30,8 +30,9 @@
 //! * [`client`] — the minimal blocking HTTP client used by
 //!   `cfmap client`, the smoke tests, and the throughput bench, with
 //!   keep-alive connection reuse;
-//! * [`http`] — the shared HTTP/1.1 framing (one parser and writer for
-//!   the daemon, the router, and the client);
+//! * [`http`] — the shared HTTP/1.1 transport (one parser, writer,
+//!   connector and keep-alive connection for the daemon, the router,
+//!   and the client);
 //! * [`router`] — `cfmapd-router`: cache-affine consistent-hash fan-out
 //!   over N backends with health probes, circuit breakers, and bounded
 //!   failover.

@@ -49,7 +49,7 @@
 //! | `POST /shutdown` | drain and exit |
 
 use crate::engine::{canonical_problem, pareto_affinity_problem};
-use crate::http::{read_request, write_response_extra, ReadError, Response};
+use crate::http::{self, read_request, write_response_extra, KeepAliveConn, ReadError, Response};
 use crate::json::{parse, Json};
 use crate::wire::{MapRequest, ParetoRequest, RouterReject, RouterRejectKind};
 use crate::server::ShutdownHandle;
@@ -68,6 +68,12 @@ const IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// Idle patience between requests on a kept-alive downstream connection
 /// (mirrors the daemon's own keep-alive idle clock).
 const KEEPALIVE_IDLE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Read and write patience of a `/healthz` probe.
+const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Read and write patience of a shed connection's `503`.
+const SHED_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// `Content-Type` of JSON answers.
 const CT_JSON: &str = "application/json";
@@ -177,13 +183,6 @@ struct BreakerInner {
     opened_at: Option<Instant>,
 }
 
-/// One idle upstream connection plus how many requests it has carried.
-struct PooledConn {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-    served: usize,
-}
-
 /// Per-backend state: address, probe-driven health, breaker, and the
 /// keep-alive connection pool.
 struct Backend {
@@ -193,7 +192,7 @@ struct Backend {
     /// Backend is willing to take new traffic (up and not draining).
     ready: AtomicBool,
     breaker: Mutex<BreakerInner>,
-    pool: Mutex<Vec<PooledConn>>,
+    pool: Mutex<Vec<KeepAliveConn>>,
     // Metrics, labeled by backend address.
     up_gauge: Arc<Gauge>,
     circuit_gauge: Arc<Gauge>,
@@ -308,12 +307,12 @@ impl Backend {
     }
 
     /// Pop an idle pooled connection, if any.
-    fn checkout(&self) -> Option<PooledConn> {
+    fn checkout(&self) -> Option<KeepAliveConn> {
         self.pool.lock().unwrap_or_else(|e| e.into_inner()).pop()
     }
 
     /// Return a still-healthy keep-alive connection to the pool.
-    fn park(&self, conn: PooledConn, pool_capacity: usize) {
+    fn park(&self, conn: KeepAliveConn, pool_capacity: usize) {
         let mut pool = self.pool.lock().unwrap_or_else(|e| e.into_inner());
         if pool.len() < pool_capacity {
             pool.push(conn);
@@ -489,9 +488,10 @@ impl RouterCore {
 
     /// Send one request to one backend over a pooled (or fresh)
     /// keep-alive connection. A transport error on a *reused*
-    /// connection retries once on a fresh one — a retired-by-the-peer
-    /// pooled socket is not evidence against the backend. Only a fresh
-    /// connection's failure propagates as `Err`.
+    /// connection moves on to the next pooled one, and finally to a
+    /// fresh one — a retired-by-the-peer pooled socket is not evidence
+    /// against the backend. Only a fresh connection's failure
+    /// propagates as `Err`.
     fn send(
         &self,
         backend: &Backend,
@@ -500,33 +500,32 @@ impl RouterCore {
         body: &str,
     ) -> std::io::Result<Response> {
         let started = Instant::now();
-        // Stale pooled connections: try each, discarding failures.
-        while let Some(conn) = backend.checkout() {
-            let mut conn = conn;
-            match exchange(&mut conn, method, path, &backend.addr, body) {
+        loop {
+            let (mut conn, reused) = match backend.checkout() {
+                Some(conn) => (conn, true),
+                None => {
+                    let c = &self.config;
+                    let conn = KeepAliveConn::open(
+                        &backend.addr,
+                        c.connect_timeout,
+                        c.read_timeout,
+                        IO_TIMEOUT,
+                    )?;
+                    (conn, false)
+                }
+            };
+            match conn.exchange(method, path, Some(body)) {
                 Ok(resp) => {
-                    conn.served += 1;
-                    if resp.keep_alive && conn.served < self.config.max_requests_per_conn {
+                    if conn.reusable(&resp, self.config.max_requests_per_conn) {
                         backend.park(conn, self.config.pool_capacity);
                     }
                     backend.upstream_latency.observe(started.elapsed());
                     return Ok(resp);
                 }
-                Err(_) => continue, // stale; fall through to the next / a fresh conn
+                Err(_) if reused => {}
+                Err(e) => return Err(e),
             }
         }
-        let stream = connect(&backend.addr, self.config.connect_timeout)?;
-        stream.set_read_timeout(Some(self.config.read_timeout))?;
-        stream.set_write_timeout(Some(IO_TIMEOUT))?;
-        let reader = BufReader::new(stream.try_clone()?);
-        let mut conn = PooledConn { stream, reader, served: 0 };
-        let resp = exchange(&mut conn, method, path, &backend.addr, body)?;
-        conn.served += 1;
-        if resp.keep_alive && conn.served < self.config.max_requests_per_conn {
-            backend.park(conn, self.config.pool_capacity);
-        }
-        backend.upstream_latency.observe(started.elapsed());
-        Ok(resp)
     }
 
     /// Route one mapping request: pick ring candidates, walk them under
@@ -709,12 +708,8 @@ struct ProbedHealth {
 /// Probe one backend's `/healthz` over a fresh short-timeout
 /// connection. `None` means unreachable or non-200.
 fn probe_healthz(addr: &str, connect_timeout: Duration) -> Option<ProbedHealth> {
-    let stream = connect(addr, connect_timeout).ok()?;
-    stream.set_read_timeout(Some(Duration::from_secs(2))).ok()?;
-    stream.set_write_timeout(Some(Duration::from_secs(2))).ok()?;
-    let reader = BufReader::new(stream.try_clone().ok()?);
-    let mut conn = PooledConn { stream, reader, served: 0 };
-    let resp = exchange(&mut conn, "GET", "/healthz", addr, "").ok()?;
+    let mut conn = KeepAliveConn::open(addr, connect_timeout, PROBE_TIMEOUT, PROBE_TIMEOUT).ok()?;
+    let resp = conn.exchange("GET", "/healthz", None).ok()?;
     if resp.status != 200 {
         return None;
     }
@@ -723,35 +718,6 @@ fn probe_healthz(addr: &str, connect_timeout: Duration) -> Option<ProbedHealth> 
         .and_then(|j| j.get("draining").and_then(Json::as_bool))
         .unwrap_or(false);
     Some(ProbedHealth { draining })
-}
-
-/// Write one keep-alive request on `conn` and read the framed response.
-fn exchange(
-    conn: &mut PooledConn,
-    method: &str,
-    path: &str,
-    host: &str,
-    body: &str,
-) -> std::io::Result<Response> {
-    let payload = if body.is_empty() { None } else { Some(body) };
-    crate::http::write_request(&mut conn.stream, method, path, host, payload, true, &[])?;
-    crate::http::read_response(&mut conn.reader)
-}
-
-/// `TcpStream::connect` with an explicit timeout over every resolved
-/// candidate address.
-fn connect(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
-    use std::net::ToSocketAddrs;
-    let mut last: Option<std::io::Error> = None;
-    for candidate in addr.to_socket_addrs()? {
-        match TcpStream::connect_timeout(&candidate, timeout) {
-            Ok(s) => return Ok(s),
-            Err(e) => last = Some(e),
-        }
-    }
-    Err(last.unwrap_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("{addr} resolves to nothing"))
-    }))
 }
 
 /// A bound (but not yet running) router.
@@ -878,8 +844,7 @@ impl CfmapRouter {
 fn shed_downstream(stream: TcpStream) {
     std::thread::spawn(move || {
         let mut stream = stream;
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
+        let _ = http::tune(&stream, SHED_TIMEOUT, SHED_TIMEOUT);
         if let Ok(clone) = stream.try_clone() {
             let mut reader = BufReader::new(clone);
             let _ = read_request(&mut reader);
@@ -898,8 +863,7 @@ fn shed_downstream(stream: TcpStream) {
 
 /// Serve one downstream connection, honoring client keep-alive.
 fn serve_downstream(stream: TcpStream, core: &RouterCore) {
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+    let _ = http::tune(&stream, IO_TIMEOUT, IO_TIMEOUT);
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,

@@ -51,7 +51,7 @@
 //! binary's `--watch-stdin` mode (see `src/bin/cfmapd.rs`).
 
 use crate::engine::Engine;
-use crate::http::{read_request, write_response_extra, ReadError};
+use crate::http::{self, read_request, write_response_extra, ReadError};
 use crate::json::{parse, Json};
 use crate::snapshot::{certificate_json, write_atomic};
 use crate::wire::{MapRequest, MapResponse, ParetoRequest, ParetoResponse};
@@ -74,6 +74,9 @@ const IO_TIMEOUT: Duration = Duration::from_secs(10);
 /// connection pins a worker, so patience between requests is a direct
 /// tax on pool capacity (and on drain time at shutdown).
 const KEEPALIVE_IDLE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Read and write patience of a shed connection's `503`.
+const SHED_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// `Content-Type` of every JSON answer.
 const CT_JSON: &str = "application/json";
@@ -159,8 +162,9 @@ pub struct CfmapServer {
 }
 
 /// An accepted connection, stamped with its accept time on the budget
-/// clock. Request deadlines anchor here so time spent waiting in the
-/// admission queue counts against the caller's `deadline_ms`.
+/// clock. The first request's deadline anchors here so time spent
+/// waiting in the admission queue counts against the caller's
+/// `deadline_ms`.
 struct Conn {
     stream: TcpStream,
     accepted_us: u64,
@@ -388,8 +392,7 @@ impl CfmapServer {
 fn shed_connection(stream: TcpStream) {
     std::thread::spawn(move || {
         let mut stream = stream;
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
+        let _ = http::tune(&stream, SHED_TIMEOUT, SHED_TIMEOUT);
         if let Ok(clone) = stream.try_clone() {
             let mut reader = BufReader::new(clone);
             let _ = read_request(&mut reader);
@@ -446,8 +449,7 @@ fn handle_connection(
     max_requests_per_conn: usize,
 ) {
     let Conn { stream, accepted_us } = conn;
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+    let _ = http::tune(&stream, IO_TIMEOUT, IO_TIMEOUT);
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -455,17 +457,28 @@ fn handle_connection(
     let mut stream = stream;
     // The first request's deadline anchors at *accept* time (queueing
     // counts against it); later requests on a kept-alive connection
-    // anchor when the server starts reading them.
+    // anchor at their first byte, so the idle wait between requests is
+    // charged neither to a deadline nor to the latency histogram.
     let mut anchor_us = accepted_us;
     let mut served = 0usize;
     loop {
+        // A bare shutdown poke (connect + close) — or a keep-alive
+        // client hanging up, or going quiet past the idle clock, between
+        // requests — answers nothing.
+        if !http::await_request(&mut reader) {
+            return;
+        }
         let started = Instant::now();
+        if served > 0 {
+            anchor_us = clock::now_micros();
+            // The idle clock covered only the wait; the rest of the
+            // request reads under the full request timeout.
+            let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+        }
         let mut route = "unparsed";
         let mut req_line = (String::new(), String::new());
         let mut client_keep_alive = false;
         let (status, content_type, body) = match read_request(&mut reader) {
-            // A bare shutdown poke (connect + close) — or a keep-alive
-            // client hanging up between requests — answers nothing.
             Err(ReadError::Empty) => return,
             Err(ReadError::TooLarge) => (413, CT_JSON, error_body("request body too large")),
             Err(ReadError::Malformed(msg)) => (400, CT_JSON, error_body(&msg)),
@@ -544,7 +557,6 @@ fn handle_connection(
         }
         // Between requests a persistent connection waits on a short
         // idle clock, not the full request timeout.
-        anchor_us = clock::now_micros();
         let _ = stream.set_read_timeout(Some(KEEPALIVE_IDLE_TIMEOUT));
     }
 }

@@ -70,7 +70,8 @@ pub struct MapRequest {
     /// carrying it bypass the design cache.
     pub timeout_ms: Option<u64>,
     /// End-to-end deadline in milliseconds, anchored when the server
-    /// *accepts* the connection — queueing delay counts against it,
+    /// *accepts* the connection (a later request on a kept-alive
+    /// connection: at its first byte) — queueing delay counts against it,
     /// unlike `timeout_ms` which starts when the search starts. Load-
     /// dependent, so requests carrying it bypass the design cache.
     pub deadline_ms: Option<u64>,

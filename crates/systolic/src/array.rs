@@ -24,17 +24,38 @@ pub struct SystolicArray {
 impl SystolicArray {
     /// Synthesize the array for `alg` under `mapping`: enumerate `S·J` and
     /// the schedule's time span.
+    ///
+    /// The walk allocates nothing per index point: `S` is converted to
+    /// machine integers once, the point advances in place as an
+    /// odometer, `S·j̄` lands in one reused buffer, and only a processor
+    /// not seen before is copied into the set. The result equals mapping
+    /// every point with [`MappingMatrix::apply`].
     pub fn synthesize(alg: &Uda, mapping: &MappingMatrix) -> SystolicArray {
         assert_eq!(alg.dim(), mapping.dim(), "algorithm / mapping dimension mismatch");
         let dims = mapping.k() - 1;
+        let space = mapping.space().as_mat().to_i64_rows().expect("space map entries fit i64");
+        let pi = mapping.schedule().as_slice();
+        let mu = alg.index_set.mu();
+        let mut j = vec![0i64; mu.len()];
+        let mut p = vec![0i64; dims];
         let mut procs: BTreeSet<Vec<i64>> = BTreeSet::new();
         let mut tmin = i64::MAX;
         let mut tmax = i64::MIN;
-        for j in alg.index_set.iter() {
-            let (p, t) = mapping.apply(&j);
-            procs.insert(p);
+        loop {
+            for (coord, row) in p.iter_mut().zip(&space) {
+                *coord = dot(row, &j);
+            }
+            if !procs.contains(p.as_slice()) {
+                procs.insert(p.clone());
+            }
+            let t = dot(pi, &j);
             tmin = tmin.min(t);
             tmax = tmax.max(t);
+            // Lexicographic successor: bump the last axis below its
+            // bound and zero the axes after it; none left means done.
+            let Some(axis) = (0..j.len()).rev().find(|&i| j[i] < mu[i]) else { break };
+            j[axis] += 1;
+            j[axis + 1..].fill(0);
         }
         let processors: Vec<Vec<i64>> = procs.into_iter().collect();
         let bounds = (0..dims)
@@ -44,8 +65,8 @@ impl SystolicArray {
                 (min, max)
             })
             .collect();
-        let time_range = if tmin == i64::MAX { (0, 0) } else { (tmin, tmax) };
-        SystolicArray { dims, processors, bounds, time_range }
+        // The box always holds the origin, so the walk saw a time.
+        SystolicArray { dims, processors, bounds, time_range: (tmin, tmax) }
     }
 
     /// Array dimensionality `k − 1`.
@@ -85,6 +106,11 @@ impl SystolicArray {
         let volume: i64 = self.bounds.iter().map(|(lo, hi)| hi - lo + 1).product();
         volume == self.processors.len() as i64
     }
+}
+
+/// `a · b` in machine integers.
+fn dot(a: &[i64], b: &[i64]) -> i64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 #[cfg(test)]

@@ -548,3 +548,49 @@ fn provably_unusable_batches_reject_locally_without_a_forward() {
     stop_router(router);
     backend.stop();
 }
+
+/// Sequential keep-alive exchanges must not stall. On one `Client`, the
+/// median round trip straight to a backend and through the router stays
+/// below Linux's 40 ms delayed-ACK floor; a message written as head then
+/// body, without `TCP_NODELAY`, stalled every exchange on a reused
+/// connection for about 88 ms. The router's upstream hop must reuse a
+/// pooled connection too.
+#[test]
+fn sequential_keep_alive_round_trips_do_not_stall() {
+    let backend = BackendProc::spawn();
+    let router = start_router(std::slice::from_ref(&backend.addr));
+    assert!(
+        wait_until(Duration::from_secs(5), || {
+            client::get(&router.addr, "/readyz").map(|r| r.status == 200).unwrap_or(false)
+        }),
+        "router never became ready"
+    );
+
+    let body = key_request(4).to_json().serialize();
+    for (label, addr) in [("direct", &backend.addr), ("routed", &router.addr)] {
+        let mut keep_alive = Client::with_defaults(addr);
+        let mut round_trips: Vec<Duration> = (0..40)
+            .map(|i| {
+                let started = Instant::now();
+                let reply = keep_alive.post("/map", &body).expect("keep-alive /map");
+                assert_eq!(reply.status, 200, "{label} request {i}: {}", reply.body);
+                started.elapsed()
+            })
+            .collect();
+        round_trips.sort();
+        let median = round_trips[round_trips.len() / 2];
+        assert!(
+            median < Duration::from_millis(20),
+            "{label}: median keep-alive round trip {median:?} (all: {round_trips:?})"
+        );
+    }
+
+    let body = client::get(&router.addr, "/backends").expect("backends answers").body;
+    let pooled = parse(&body)
+        .ok()
+        .and_then(|j| j.get("backends")?.as_arr()?.first()?.get("pooled_connections")?.as_i64());
+    assert!(pooled.is_some_and(|n| n >= 1), "the upstream hop pooled nothing: {body}");
+
+    stop_router(router);
+    backend.stop();
+}

@@ -2,12 +2,15 @@
 //! port, hit it with concurrent clients, and check the cache, batch,
 //! stats, and shutdown behavior through the wire.
 
+use cfmap::prelude::Certification;
 use cfmap::service::client;
+use cfmap::service::http::KeepAliveConn;
 use cfmap::service::json::{parse, Json};
 use cfmap::service::wire::{MapRequest, MapResponse};
 use std::str::FromStr;
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
+use std::time::Duration;
 
 /// A running daemon that is shut down (or killed) when dropped.
 struct Daemon {
@@ -478,6 +481,47 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
     let mut rest = Vec::new();
     reader.read_to_end(&mut rest).expect("clean EOF");
     assert!(rest.is_empty(), "server must close after Connection: close, not send {rest:?}");
+
+    daemon.stop();
+}
+
+/// A kept-alive request's clock starts at its first byte: a pause
+/// between two requests on one connection is charged neither to the
+/// latency histogram nor to the second request's `deadline_ms`.
+#[test]
+fn keep_alive_pause_counts_against_neither_latency_nor_deadline() {
+    let daemon = Daemon::spawn(&[]);
+    let patience = Duration::from_secs(10);
+    let mut conn =
+        KeepAliveConn::open(&daemon.addr, patience, patience, patience).expect("connect");
+
+    let warm = matmul_request().to_json().serialize();
+    let first = conn.exchange("POST", "/map", Some(&warm)).expect("first /map");
+    assert_eq!(first.status, 200, "{}", first.body);
+    assert!(first.keep_alive, "the daemon must keep the connection open");
+
+    std::thread::sleep(Duration::from_millis(600));
+    // A cold problem whose deadline would already have run out had it
+    // been anchored before the pause.
+    let mut cold = MapRequest::named("matmul", 5, vec![vec![1, 1, -1]]);
+    cold.deadline_ms = Some(400);
+    let second = conn
+        .exchange("POST", "/map", Some(&cold.to_json().serialize()))
+        .expect("second /map on the same connection");
+    assert_eq!(second.status, 200, "{}", second.body);
+    let resp = MapResponse::from_str(&second.body).expect("wire body");
+    let MapResponse::Ok(o) = resp else { panic!("cold request after the pause: {resp:?}") };
+    assert_eq!(o.certification, Certification::Optimal, "the pause ate the deadline");
+    assert!(!o.cached);
+
+    let text = client::get(&daemon.addr, "/metrics").expect("metrics").body;
+    let sum_name = "cfmapd_request_duration_seconds_sum{route=\"/map\"}";
+    let sum: f64 = text
+        .lines()
+        .find_map(|l| l.strip_prefix(sum_name))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or_else(|| panic!("no {sum_name} in {text}"));
+    assert!(sum < 0.3, "two /map requests took {sum} s by the histogram: the pause was counted");
 
     daemon.stop();
 }
