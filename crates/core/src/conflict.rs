@@ -333,7 +333,7 @@ impl<'a> ConflictAnalysis<'a> {
     /// vectors directly and shrink the coefficient box the enumeration
     /// must cover.
     pub fn find_small_kernel_vector(&self) -> Option<IVec> {
-        crate::metrics::EXACT_CONFLICT_TESTS.inc();
+        crate::metrics::count_exact_conflict_test();
         let basis = cfmap_intlin::lll_reduce(&self.lattice_basis());
         let d = basis.len();
         if d == 0 {

@@ -646,11 +646,15 @@ mod tests {
     #[test]
     fn outcome_aggregates_inner_search_telemetry() {
         let alg = algorithms::matmul(3);
+        let exact_before = crate::metrics::thread_exact_conflict_tests();
         let out = JointSearch::new(&alg).solve().unwrap();
         let t = &out.telemetry;
-        // Inner Procedure 5.1 effort across all space maps.
+        // Inner Procedure 5.1 effort across all space maps, screened by
+        // each row's box-kernel table: no Hermite form, no exact lattice
+        // test.
         assert!(t.enumerated > 0);
-        assert!(t.hnf_computations > 0);
+        assert_eq!(t.hnf_computations, 0, "{t:?}");
+        assert_eq!(crate::metrics::thread_exact_conflict_tests(), exact_before);
         assert!(t.accepted >= 1, "at least one inner search accepted: {t:?}");
         assert!(t.budget_limit.is_none());
     }

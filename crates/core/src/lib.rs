@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod baselines;
+mod box_kernel;
 pub mod budget;
 pub mod canon;
 pub mod conditions;

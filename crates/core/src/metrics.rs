@@ -29,6 +29,7 @@
 //!     https://prometheus.io/docs/instrumenting/exposition_formats/
 
 use crate::error::BudgetLimit;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, LazyLock, Mutex};
 use std::time::Duration;
@@ -107,17 +108,18 @@ pub const DEFAULT_LATENCY_BUCKETS_US: &[u64] = &[
     5_000_000,
 ];
 
-/// A fixed-bucket histogram of microsecond observations. Bucket bounds
-/// are set at construction; counts, sum and total are atomics, so
-/// observation is lock-free. Rendered in seconds (cumulative `le`
-/// buckets) per Prometheus convention.
+/// A fixed-bucket latency histogram with microsecond bucket bounds.
+/// Bucket bounds are set at construction; counts, sum and total are
+/// atomics, so observation is lock-free. The sum is kept in nanoseconds,
+/// so sub-microsecond observations are not truncated away. Rendered in
+/// seconds (cumulative `le` buckets) per Prometheus convention.
 #[derive(Debug)]
 pub struct Histogram {
     /// Inclusive upper bounds in microseconds, strictly increasing.
     bounds_us: Vec<u64>,
     /// One count per bound, plus a final overflow (`+Inf`) bucket.
     buckets: Vec<AtomicU64>,
-    sum_us: AtomicU64,
+    sum_ns: AtomicU64,
     count: AtomicU64,
 }
 
@@ -129,22 +131,27 @@ impl Histogram {
         Histogram {
             bounds_us: bounds_us.to_vec(),
             buckets: (0..=bounds_us.len()).map(|_| AtomicU64::new(0)).collect(),
-            sum_us: AtomicU64::new(0),
+            sum_ns: AtomicU64::new(0),
             count: AtomicU64::new(0),
         }
     }
 
+    /// Record one observation of `ns` nanoseconds.
+    fn observe_nanos(&self, ns: u64) {
+        let idx = self.bounds_us.partition_point(|&b| b.saturating_mul(1_000) < ns);
+        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Record one observation of `us` microseconds.
     pub fn observe_micros(&self, us: u64) {
-        let idx = self.bounds_us.partition_point(|&b| b < us);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
+        self.observe_nanos(us.saturating_mul(1_000));
     }
 
     /// Record one observation of a [`Duration`].
     pub fn observe(&self, d: Duration) {
-        self.observe_micros(u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
+        self.observe_nanos(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Total number of observations.
@@ -152,9 +159,10 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of all observations in microseconds.
+    /// Sum of all observations in whole microseconds (summed in
+    /// nanoseconds, truncated once).
     pub fn sum_micros(&self) -> u64 {
-        self.sum_us.load(Ordering::Relaxed)
+        self.sum_ns.load(Ordering::Relaxed) / 1_000
     }
 
     /// Cumulative counts per bound (Prometheus `le` semantics), ending
@@ -459,14 +467,31 @@ fn fmt_labels(labels: &Labels, le: Option<&str>) -> String {
 }
 
 /// Process-wide count of Hermite-normal-form computations — one per
-/// [`crate::ConflictAnalysis`] constructed. Every candidate that survives
-/// the cheap screens costs one HNF; this counter is the live view of
-/// that dominant cost across all searches in the process.
+/// [`crate::ConflictAnalysis`] constructed. On the HNF screening route
+/// every candidate that survives the cheap screens costs one HNF;
+/// Procedure 5.1 searches decided by their box-kernel table cost none.
 pub static HNF_COMPUTATIONS: Counter = Counter::new();
 
 /// Process-wide count of exact lattice conflict tests
 /// ([`crate::ConflictAnalysis::is_conflict_free_exact`] box enumerations).
 pub static EXACT_CONFLICT_TESTS: Counter = Counter::new();
+
+thread_local! {
+    static THREAD_EXACT_CONFLICT_TESTS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one exact lattice conflict test, process-wide and on the
+/// calling thread.
+pub(crate) fn count_exact_conflict_test() {
+    EXACT_CONFLICT_TESTS.inc();
+    THREAD_EXACT_CONFLICT_TESTS.with(|c| c.set(c.get() + 1));
+}
+
+/// [`EXACT_CONFLICT_TESTS`] restricted to the calling thread — the
+/// deterministic view for tests that run beside other searches.
+pub fn thread_exact_conflict_tests() -> u64 {
+    THREAD_EXACT_CONFLICT_TESTS.with(Cell::get)
+}
 
 /// Process-wide count of candidates skipped by the symmetry quotient —
 /// non-representative orbit members Procedure 5.1 never screened because
@@ -647,7 +672,8 @@ pub struct SearchTelemetry {
     pub rejected_unroutable: u64,
     /// Candidates accepted (0 or 1 for Procedure 5.1).
     pub accepted: u64,
-    /// Hermite normal forms computed (one per surviving candidate).
+    /// Hermite normal forms computed (one per surviving candidate on
+    /// the HNF route; none on the box-kernel table route).
     pub hnf_computations: u64,
     /// Conflict-freedom dispatches by rule.
     pub condition_hits: RuleHits,
@@ -773,6 +799,21 @@ mod tests {
         assert_eq!(h.cumulative(), vec![2, 3, 3, 4]);
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum_micros(), 50 + 100 + 500 + 99_999);
+    }
+
+    #[test]
+    fn sub_microsecond_observations_add_to_the_sum() {
+        let h = Histogram::new(SCREEN_TIME_BUCKETS_US);
+        for _ in 0..5 {
+            h.observe(Duration::from_nanos(400));
+        }
+        assert_eq!(h.sum_micros(), 2);
+        assert_eq!(h.count(), 5);
+        // 400 ns ≤ 1 µs: all five land in the first bucket.
+        assert_eq!(h.cumulative()[0], 5);
+        // 1.5 µs exceeds the 1 µs bound and lands in the 2 µs bucket.
+        h.observe(Duration::from_nanos(1_500));
+        assert_eq!(h.cumulative()[..2], [5, 6]);
     }
 
     #[test]

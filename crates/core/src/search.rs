@@ -18,6 +18,12 @@
 //! the necessity caveat in [`crate::conditions`]) and otherwise sound but
 //! possibly conservative.
 //!
+//! Under the exact test, conditions 4 and 3 are decided by dot products
+//! against a per-search box-kernel table of the fixed `S` (see
+//! `crate::box_kernel`) whenever the index box is small enough to
+//! tabulate; larger boxes, and the paper's conditions, take the
+//! Hermite-normal-form route.
+//!
 //! ## Budgets and graceful degradation
 //!
 //! The search accepts a [`SearchBudget`]. When a limit trips before the
@@ -29,13 +35,14 @@
 //! [`Certification::BestEffort`]. Only when even that family is empty
 //! does it report [`CfmapError::BudgetExhausted`].
 
+use crate::box_kernel::BoxKernelTable;
 use crate::budget::{CancelToken, SearchBudget, SearchOutcome, SolveRoute};
 use crate::canon::Stabilizer;
 use crate::conditions::{check, check_memoized, rule_for, ConditionKind};
 use crate::conflict::ConflictAnalysis;
 use crate::error::{BudgetLimit, CfmapError};
 use crate::mapping::{route, InterconnectionPrimitives, MappingMatrix, Routing, SpaceMap};
-use crate::metrics::SearchTelemetry;
+use crate::metrics::{ConditionRule, SearchTelemetry};
 use cfmap_intlin::{hnf_prefix_i64, HnfPrefix, HnfWorkspace};
 use cfmap_model::{LinearSchedule, Uda};
 use std::panic::AssertUnwindSafe;
@@ -275,6 +282,29 @@ struct LevelWork {
     tel: Mutex<SearchTelemetry>,
 }
 
+/// Screening state derived once per search from the fixed `S`, `D` and
+/// index box, shared read-only by every candidate and worker.
+struct ScreenPrep {
+    /// The dependence columns as machine integers for the condition-1
+    /// gate (see [`Procedure51::deps_columns_i64`]).
+    deps: Option<Vec<Vec<i64>>>,
+    /// The box-kernel table: with it, the rank and conflict gates are
+    /// dot products (the table route). `None` under
+    /// [`ConditionKind::Paper`] or for boxes too large to tabulate.
+    table: Option<BoxKernelTable>,
+    /// HNF route only: `S` pre-eliminated once, so each candidate only
+    /// reduces its own `Π` row (see `HnfPrefix`). `None` on the table
+    /// route or when `S` has entries beyond i64.
+    prefix: Option<HnfPrefix>,
+}
+
+/// One candidate in this many has its screen timed into
+/// [`crate::metrics::CANDIDATE_SCREEN_TIME`], chosen by the search's own
+/// candidate counter (`enumerated % SCREEN_SAMPLE_EVERY == 1`, so the
+/// first candidate of every search is timed). A clock read pair costs
+/// several times a condition-1 rejection.
+const SCREEN_SAMPLE_EVERY: u64 = 64;
+
 /// Candidates claimed per cursor bump in the sharded parallel search —
 /// small enough to load-balance a level with a few hundred candidates,
 /// large enough to keep the cursor off the contention path.
@@ -418,7 +448,9 @@ impl<'a> Procedure51<'a> {
     }
 
     /// Route exact conflict verdicts through the process-wide
-    /// kernel-lattice memo (default: on). The memo caches a
+    /// kernel-lattice memo (default: on). Only the HNF route consults
+    /// it: a search whose box is small enough for the box-kernel table
+    /// never does, either way. The memo caches a
     /// deterministic fact — the verdict depends only on the candidate's
     /// saturated kernel lattice and the index box — so results are
     /// bit-identical either way; turning it off recovers the unmemoized
@@ -488,11 +520,7 @@ impl<'a> Procedure51<'a> {
         if let Some(limit) = meter.check_wall().or_else(|| self.cancel_tripped()) {
             return self.degrade(limit, 0, tel);
         }
-        // The S rows of T = [S; Π] are fixed across the whole search:
-        // pre-eliminate them once, so each candidate only reduces its own
-        // Π row (see `HnfPrefix`). `None` when S has entries beyond i64.
-        let prefix = hnf_prefix_i64(self.space.as_mat());
-        let deps_i64 = self.deps_columns_i64();
+        let prep = self.screen_prep();
         let mut ws = HnfWorkspace::new();
         let quotient = self.active_quotient();
         let mut counter = quotient.as_ref().map(|_| FullCounter::new(self.alg.index_set.mu()));
@@ -512,15 +540,9 @@ impl<'a> Procedure51<'a> {
                 }
                 let limit = meter.charge_candidate().or_else(|| self.cancel_tripped());
                 tel.enumerated += 1;
-                if let Some(result) = self.try_candidate(
-                    pi,
-                    cost,
-                    meter.candidates,
-                    &mut tel,
-                    prefix.as_ref(),
-                    deps_i64.as_deref(),
-                    &mut ws,
-                ) {
+                if let Some(result) =
+                    self.try_candidate(pi, cost, meter.candidates, &mut tel, &prep, &mut ws)
+                {
                     tel.accepted += 1;
                     let improves = found
                         .as_ref()
@@ -588,8 +610,7 @@ impl<'a> Procedure51<'a> {
     ) -> Result<SearchTelemetry, CfmapError> {
         self.check_cap()?;
         let mut tel = SearchTelemetry::default();
-        let prefix = hnf_prefix_i64(self.space.as_mat());
-        let deps_i64 = self.deps_columns_i64();
+        let prep = self.screen_prep();
         let mut ws = HnfWorkspace::new();
         for cost in 1..=self.max_objective {
             let level_start = tel.enumerated;
@@ -597,15 +618,9 @@ impl<'a> Procedure51<'a> {
             self.enumerate_level(cost, None, &mut |pi| {
                 tel.enumerated += 1;
                 let examined = tel.enumerated;
-                if let Some(result) = self.try_candidate(
-                    pi,
-                    cost,
-                    examined,
-                    &mut tel,
-                    prefix.as_ref(),
-                    deps_i64.as_deref(),
-                    &mut ws,
-                ) {
+                if let Some(result) =
+                    self.try_candidate(pi, cost, examined, &mut tel, &prep, &mut ws)
+                {
                     tel.accepted += 1;
                     level_accepted += 1;
                     on_accept(result);
@@ -775,23 +790,42 @@ impl<'a> Procedure51<'a> {
     }
 
     /// Evaluate one candidate against all conditions of Definition 2.2,
-    /// charging each gate's rejection to the telemetry and the elapsed
-    /// screen time to [`crate::metrics::CANDIDATE_SCREEN_TIME`].
-    #[allow(clippy::too_many_arguments)]
+    /// charging each gate's rejection to the telemetry. One candidate in
+    /// [`SCREEN_SAMPLE_EVERY`] — by `tel.enumerated`, which the caller has
+    /// already advanced for this candidate — has its screen time recorded
+    /// in [`crate::metrics::CANDIDATE_SCREEN_TIME`].
     fn try_candidate(
         &self,
         pi: &[i64],
         cost: i64,
         examined: u64,
         tel: &mut SearchTelemetry,
-        prefix: Option<&HnfPrefix>,
-        deps: Option<&[Vec<i64>]>,
+        prep: &ScreenPrep,
         ws: &mut HnfWorkspace,
     ) -> Option<OptimalMapping> {
-        let start = Instant::now();
-        let out = self.screen_candidate(pi, cost, examined, tel, prefix, deps, ws);
-        crate::metrics::CANDIDATE_SCREEN_TIME.observe(start.elapsed());
+        let start = (tel.enumerated % SCREEN_SAMPLE_EVERY == 1).then(Instant::now);
+        let out = self.screen_candidate(pi, cost, examined, tel, prep, ws);
+        if let Some(start) = start {
+            crate::metrics::CANDIDATE_SCREEN_TIME.observe(start.elapsed());
+        }
         out
+    }
+
+    /// Build the per-search screening state. The box-kernel table is
+    /// built for the exact condition when the box is small enough to
+    /// tabulate; otherwise the HNF prefix is, for the HNF + memo route.
+    fn screen_prep(&self) -> ScreenPrep {
+        let table = match self.condition {
+            ConditionKind::Exact => {
+                BoxKernelTable::build(self.space.as_mat(), self.alg.index_set.mu())
+            }
+            ConditionKind::Paper => None,
+        };
+        let prefix = match table {
+            Some(_) => None,
+            None => hnf_prefix_i64(self.space.as_mat()),
+        };
+        ScreenPrep { deps: self.deps_columns_i64(), table, prefix }
     }
 
     /// The dependence columns as machine integers, extracted once per
@@ -807,15 +841,13 @@ impl<'a> Procedure51<'a> {
         cols.filter(|cs| cs.iter().flatten().all(|&v| v.unsigned_abs() <= i32::MAX as u64))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn screen_candidate(
         &self,
         pi: &[i64],
         cost: i64,
         examined: u64,
         tel: &mut SearchTelemetry,
-        prefix: Option<&HnfPrefix>,
-        deps: Option<&[Vec<i64>]>,
+        prep: &ScreenPrep,
         ws: &mut HnfWorkspace,
     ) -> Option<OptimalMapping> {
         if let Some(probe) = self.probe {
@@ -823,7 +855,7 @@ impl<'a> Procedure51<'a> {
         }
         // Condition 1: ΠD > 0 — exact i128 dot products over the
         // pre-extracted columns when they fit i64, else the bignum route.
-        let valid = match deps {
+        let valid = match &prep.deps {
             Some(cols) => schedule_valid_i64(pi, cols),
             None => LinearSchedule::new(pi).is_valid_for(&self.alg.deps),
         };
@@ -832,17 +864,65 @@ impl<'a> Procedure51<'a> {
             return None;
         }
         // Cheap exact conflict pre-filter (see pairwise_prefilter_rejects).
+        // Redundant on the table route, but kept there so the per-gate
+        // counts do not depend on the route.
         if self.pairwise_prefilter_rejects(pi) {
             tel.rejected_prefilter += 1;
             return None;
         }
-        let schedule = LinearSchedule::new(pi);
-        let mapping = MappingMatrix::new(self.space.clone(), schedule.clone());
-        // Conditions 4 and 3 share the Hermite decomposition: complete the
-        // pre-eliminated S prefix with this candidate's Π row when
-        // possible (bit-identical to the from-scratch HNF, see
-        // `HnfPrefix::complete`), else recompute in full; its rank is
-        // rank(T).
+        let mapping = match &prep.table {
+            Some(table) => {
+                if !table.full_rank(pi) {
+                    tel.rejected_rank += 1;
+                    return None; // condition 4: rank(T) = k
+                }
+                tel.condition_hits.record(ConditionRule::Exact);
+                if !table.conflict_free(pi) {
+                    tel.rejected_conflict += 1;
+                    return None; // condition 3: conflict-freedom
+                }
+                MappingMatrix::new(self.space.clone(), LinearSchedule::new(pi))
+            }
+            None => self.hnf_route_screen(pi, tel, prep.prefix.as_ref(), ws)?,
+        };
+        // Condition 2: routability (optional). An unroutable candidate is
+        // an ordinary rejection — the search keeps looking.
+        let routing = match self.primitives {
+            Some(p) => match route(&mapping, &self.alg.deps, p) {
+                Ok(r) => Some(r),
+                Err(_) => {
+                    tel.rejected_unroutable += 1;
+                    return None;
+                }
+            },
+            None => None,
+        };
+        Some(OptimalMapping {
+            schedule: mapping.schedule().clone(),
+            mapping,
+            objective: cost,
+            total_time: cost + 1,
+            routing,
+            candidates_examined: examined,
+        })
+    }
+
+    /// Conditions 4 and 3 on the HNF route, for searches without a
+    /// box-kernel table: the mapping matrix when `rank(T) = k` and the
+    /// configured conflict test accepts, else `None` with the rejection
+    /// charged. The two gates share the Hermite decomposition: complete
+    /// the pre-eliminated `S` prefix with this candidate's `Π` row when
+    /// possible (bit-identical to the from-scratch HNF, see
+    /// `HnfPrefix::complete`), else recompute in full; its rank is
+    /// `rank(T)`.
+    fn hnf_route_screen(
+        &self,
+        pi: &[i64],
+        tel: &mut SearchTelemetry,
+        prefix: Option<&HnfPrefix>,
+        ws: &mut HnfWorkspace,
+    ) -> Option<MappingMatrix> {
+        let mapping = MappingMatrix::new(self.space.clone(), LinearSchedule::new(pi));
         let hnf = match prefix.and_then(|p| p.complete(pi, ws)) {
             Some(h) => h,
             None => mapping.hnf(),
@@ -863,27 +943,7 @@ impl<'a> Procedure51<'a> {
             tel.rejected_conflict += 1;
             return None; // condition 3: conflict-freedom
         }
-        // Condition 2: routability (optional). An unroutable candidate is
-        // an ordinary rejection — the search keeps looking.
-        let routing = match self.primitives {
-            Some(p) => match route(&mapping, &self.alg.deps, p) {
-                Ok(r) => Some(r),
-                Err(_) => {
-                    tel.rejected_unroutable += 1;
-                    return None;
-                }
-            },
-            None => None,
-        };
-        let total_time = cost + 1;
-        Some(OptimalMapping {
-            mapping,
-            schedule,
-            objective: cost,
-            total_time,
-            routing,
-            candidates_examined: examined,
-        })
+        Some(mapping)
     }
 
     /// Graceful degradation: the budget tripped before any candidate was
@@ -1066,11 +1126,8 @@ impl<'a> Procedure51<'a> {
         self.check_cap()?;
         let mut examined_before = 0u64;
         let mut tel = SearchTelemetry::default();
-        // Shared read-only S prefix; each worker owns its scratch space.
-        let prefix = hnf_prefix_i64(self.space.as_mat());
-        let prefix_ref = prefix.as_ref();
-        let deps_i64 = self.deps_columns_i64();
-        let deps_ref = deps_i64.as_deref();
+        // Shared read-only screening state; each worker owns its scratch.
+        let prep = self.screen_prep();
         let quotient = self.active_quotient();
         let mut counter = quotient.as_ref().map(|_| FullCounter::new(self.alg.index_set.mu()));
         let mut hybrid = HybridState::new(self.hybrid);
@@ -1091,7 +1148,7 @@ impl<'a> Procedure51<'a> {
                     start.wait();
                     let Some(level) = slot.lock().unwrap().clone() else { break };
                     let shard = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        self.process_level_shard(&level, prefix_ref, deps_ref);
+                        self.process_level_shard(&level, &prep);
                     }));
                     if shard.is_err() {
                         level.panicked.store(true, Ordering::SeqCst);
@@ -1189,12 +1246,7 @@ impl<'a> Procedure51<'a> {
     /// screen them (skipping candidates the shared prune state proves
     /// cannot win), and fold acceptances and telemetry back into the
     /// level. See [`LevelWork`] for the pruning invariants.
-    fn process_level_shard(
-        &self,
-        level: &LevelWork,
-        prefix: Option<&HnfPrefix>,
-        deps: Option<&[Vec<i64>]>,
-    ) {
+    fn process_level_shard(&self, level: &LevelWork, prep: &ScreenPrep) {
         let mut wtel = SearchTelemetry::default();
         let mut ws = HnfWorkspace::new();
         let mut local_hits: Vec<(usize, OptimalMapping)> = Vec::new();
@@ -1232,9 +1284,7 @@ impl<'a> Procedure51<'a> {
                         }
                     }
                 }
-                if let Some(r) =
-                    self.try_candidate(pi, level.cost, 0, &mut wtel, prefix, deps, &mut ws)
-                {
+                if let Some(r) = self.try_candidate(pi, level.cost, 0, &mut wtel, prep, &mut ws) {
                     wtel.accepted += 1;
                     match self.tie_break {
                         TieBreak::FirstFound => {
@@ -1434,6 +1484,23 @@ pub(crate) fn enumerate_weighted(n: usize, mu: &[i64], cost: i64, f: &mut impl F
             return;
         }
         let w = mu[i];
+        if i + 1 == n {
+            // The last axis must close the level: only `|π| = remaining/w`
+            // can, emitted + then − (a zero-weight axis closes it only at
+            // π = 0, when nothing remains).
+            match last_axis_abs(remaining, w) {
+                Some(0) => f(pi),
+                Some(a) => {
+                    pi[i] = a;
+                    f(pi);
+                    pi[i] = -a;
+                    f(pi);
+                    pi[i] = 0;
+                }
+                None => {}
+            }
+            return;
+        }
         let max_abs = if w == 0 { remaining } else { remaining / w };
         for a in 0..=max_abs {
             let used = if w == 0 { 0 } else { a * w };
@@ -1446,6 +1513,17 @@ pub(crate) fn enumerate_weighted(n: usize, mu: &[i64], cost: i64, f: &mut impl F
             }
         }
         pi[i] = 0;
+    }
+}
+
+/// The `|π|` with which the last axis (weight `w`) spends exactly
+/// `remaining`, if any: `remaining / w` when `w` divides it; for a
+/// zero-weight axis, `0` when nothing remains.
+fn last_axis_abs(remaining: i64, w: i64) -> Option<i64> {
+    if w == 0 {
+        (remaining == 0).then_some(0)
+    } else {
+        (remaining % w == 0).then(|| remaining / w)
     }
 }
 
@@ -1489,6 +1567,23 @@ fn enumerate_weighted_classes(
             Some(p) => max_abs.min(pi[p]),
             None => max_abs,
         };
+        if i + 1 == n {
+            // Only `|π| = remaining/w` closes the level (see
+            // `last_axis_abs`); emitted in the loop's ascending order, −a
+            // then +a, each only under the class ceiling.
+            if let Some(a) = last_axis_abs(remaining, w) {
+                if -a <= hi {
+                    pi[i] = -a;
+                    f(pi);
+                }
+                if a != 0 && a <= hi {
+                    pi[i] = a;
+                    f(pi);
+                }
+                pi[i] = 0;
+            }
+            return;
+        }
         // Same-class axes share μ, so every value in range fits the
         // remaining weight; the loop only ascends to the class ceiling.
         for v in -max_abs..=hi {
@@ -1519,6 +1614,101 @@ mod tests {
         assert_eq!(set.len(), 8, "duplicates produced");
         for pi in &seen {
             assert_eq!(pi[0].abs() + pi[1].abs(), 2);
+        }
+    }
+
+    /// The enumerators before the last axis was emitted in O(1): every
+    /// axis, the last included, loops over all its values. Reference for
+    /// [`enumerators_match_full_recursion`].
+    fn reference_enumerate(
+        i: usize,
+        remaining: i64,
+        mu: &[i64],
+        prev: Option<&[Option<usize>]>,
+        pi: &mut Vec<i64>,
+        f: &mut impl FnMut(&[i64]),
+    ) {
+        if i == mu.len() {
+            if remaining == 0 {
+                f(pi);
+            }
+            return;
+        }
+        let w = mu[i];
+        let max_abs = if w == 0 { remaining } else { remaining / w };
+        let used = |a: i64| if w == 0 { 0 } else { a * w };
+        match prev {
+            None => {
+                for a in 0..=max_abs {
+                    pi[i] = a;
+                    reference_enumerate(i + 1, remaining - used(a), mu, prev, pi, f);
+                    if a != 0 {
+                        pi[i] = -a;
+                        reference_enumerate(i + 1, remaining - used(a), mu, prev, pi, f);
+                    }
+                }
+            }
+            Some(classes) => {
+                let hi = match classes[i] {
+                    Some(p) => max_abs.min(pi[p]),
+                    None => max_abs,
+                };
+                for v in -max_abs..=hi {
+                    pi[i] = v;
+                    reference_enumerate(i + 1, remaining - used(v.abs()), mu, prev, pi, f);
+                }
+            }
+        }
+        pi[i] = 0;
+    }
+
+    #[test]
+    fn enumerators_match_full_recursion() {
+        // Identical emitted sequences — order, signs and zero-weight axes
+        // — for n ≤ 5, μ including 0, costs ≤ 30, with and without class
+        // predecessor maps (each axis's nearest earlier equal-μ axis).
+        let mus: &[&[i64]] = &[
+            &[],
+            &[0],
+            &[3],
+            &[1, 1],
+            &[0, 2],
+            &[2, 0],
+            &[1, 2, 3],
+            &[0, 1, 0],
+            &[2, 2, 2],
+            &[3, 0, 3, 1],
+            &[1, 1, 1, 1],
+            &[2, 2, 0, 2, 2],
+            &[3, 1, 3, 4, 1],
+            &[4, 4, 4, 4, 4],
+        ];
+        for &mu in mus {
+            let n = mu.len();
+            let classes: Vec<Option<usize>> =
+                (0..n).map(|i| (0..i).rev().find(|&j| mu[j] == mu[i])).collect();
+            // Zero-weight axes multiply each level by 2·cost + 1; keep the
+            // five-axis sweeps short enough for a debug build.
+            let max_cost = if n >= 4 { 20 } else { 30 };
+            for cost in 0..=max_cost {
+                for prev in [None, Some(classes.as_slice())] {
+                    let mut want = Vec::new();
+                    let mut pi = vec![0i64; n];
+                    reference_enumerate(0, cost, mu, prev, &mut pi, &mut |p| {
+                        want.extend_from_slice(p)
+                    });
+                    let mut at = 0;
+                    let mut check = |p: &[i64]| {
+                        assert_eq!(&want[at..at + n], p, "μ = {mu:?}, cost {cost}, {prev:?}");
+                        at += n;
+                    };
+                    match prev {
+                        None => enumerate_weighted(n, mu, cost, &mut check),
+                        Some(c) => enumerate_weighted_classes(n, mu, cost, c, &mut check),
+                    }
+                    assert_eq!(at, want.len(), "μ = {mu:?}, cost {cost}: sequence cut short");
+                }
+            }
         }
     }
 
@@ -1666,9 +1856,15 @@ mod tests {
         assert_eq!(t.enumerated, out.candidates_examined);
         assert_eq!(t.accepted, 1);
         assert_eq!(t.enumerated, t.accepted + t.rejected_total(), "{t:?}");
-        assert!(t.hnf_computations > 0);
-        // Every candidate surviving the rank gate reaches a condition test.
-        assert_eq!(t.condition_hits.total(), t.hnf_computations - t.rejected_rank);
+        // The box-kernel table decides the rank and conflict gates: no
+        // Hermite form is computed, and every candidate surviving the
+        // rank gate gets an exact table verdict.
+        assert_eq!(t.hnf_computations, 0, "{t:?}");
+        assert_eq!(
+            t.condition_hits.exact,
+            t.enumerated - t.rejected_schedule - t.rejected_prefilter - t.rejected_rank,
+            "{t:?}"
+        );
         assert_eq!(t.condition_hits.exact, t.condition_hits.total(), "default kind is Exact");
         let last = t.levels.last().expect("levels recorded");
         assert_eq!((last.objective, last.accepted), (24, 1));

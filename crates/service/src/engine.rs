@@ -1378,6 +1378,7 @@ mod tests {
     fn search_stats_and_metrics_grow_with_solves() {
         let engine = Engine::new(64, 4);
         assert_eq!(engine.search_stats(), SearchStats::default());
+        let exact_before = cfmap_core::metrics::thread_exact_conflict_tests();
         let first = engine.resolve(&matmul_request());
         assert!(matches!(first, MapResponse::Ok(_)));
         let stats = engine.search_stats();
@@ -1386,7 +1387,10 @@ mod tests {
         // LexMax scans the whole winning objective level, so one solve
         // can accept several tie-broken candidates.
         assert!(stats.candidates_accepted >= 1);
-        assert!(stats.hnf_computations >= 1);
+        // The box-kernel table screens the solve: no Hermite form and no
+        // exact lattice test.
+        assert_eq!(stats.hnf_computations, 0);
+        assert_eq!(cfmap_core::metrics::thread_exact_conflict_tests(), exact_before);
         // A cache hit is not a solve: no counter may move.
         let _ = engine.resolve(&matmul_request());
         assert_eq!(engine.search_stats(), stats);
@@ -1406,8 +1410,7 @@ mod tests {
         // Symmetry-quotient / hybrid-route gauges are exported.
         assert!(text.contains("cfmap_orbits_pruned_total"), "{text}");
         assert!(text.contains("cfmap_hybrid_escalations_total"), "{text}");
-        // Kernel-lattice conflict memo gauges are exported, and a default
-        // policy solve routes exact verdicts through the memo.
+        // Kernel-lattice conflict memo gauges are exported.
         assert!(text.contains("cfmap_conflict_memo_hits_total"), "{text}");
         assert!(text.contains("cfmap_conflict_memo_misses_total"), "{text}");
     }

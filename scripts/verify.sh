@@ -112,15 +112,16 @@ ORBITS=$(printf '%s\n' "$POST_METRICS" \
     | sed -n 's/^cfmap_orbits_pruned_total \([0-9]*\)$/\1/p')
 [ "${ORBITS:-0}" -gt 0 ] \
     || { echo "cfmap_orbits_pruned_total = '${ORBITS:-missing}', want > 0"; exit 1; }
-# Conflict-memo gate (ISSUE 9): the exact solves above must have routed
-# verdicts through the kernel-lattice memo and found repeats, all on the
-# i64 fast path (no bignum spills).
-MEMO_HITS=$(printf '%s\n' "$POST_METRICS" \
-    | sed -n 's/^cfmap_conflict_memo_hits_total \([0-9]*\)$/\1/p')
-[ "${MEMO_HITS:-0}" -gt 0 ] \
-    || { echo "cfmap_conflict_memo_hits_total = '${MEMO_HITS:-missing}', want > 0"; exit 1; }
+# Screening-route gate: Procedure 5.1 decides the rank and conflict gates
+# of these small boxes from its per-search box-kernel table, so the /map
+# solves above ran no exact lattice test and left the kernel-lattice memo
+# untouched — all on the i64 fast path (no bignum spills).
+printf '%s\n' "$POST_METRICS" | grep -q '^cfmap_core_exact_conflict_tests_total 0$' \
+    || { echo "exact lattice tests after the /map solves, want 0"; exit 1; }
+printf '%s\n' "$POST_METRICS" | grep -q '^cfmap_conflict_memo_misses_total 0$' \
+    || { echo "conflict-memo misses after the /map solves, want 0"; exit 1; }
 printf '%s\n' "$POST_METRICS" | grep -q '^cfmap_intlin_bigint_spills_total 0$' \
-    || { echo "bigint spills after the quotient/memo solves, want 0"; exit 1; }
+    || { echo "bigint spills after the quotient/table solves, want 0"; exit 1; }
 # Pareto gate (ISSUE 10): the fixed-space frontier for matmul mu=4 on
 # S = [1,1,-1] is a single point whose time corner must agree with the
 # Procedure 5.1 answer /map gives for the identical body — same t = 25
@@ -148,6 +149,16 @@ printf '%s\n' "$PARETO_METRICS" | grep -q '^cfmap_pareto_solves_total 1$' \
 printf '%s\n' "$PARETO_METRICS" \
     | grep -q 'cfmapd_requests_total{route="/pareto",status="200"} 1' \
     || { echo "/metrics is missing the /pareto request counter"; exit 1; }
+# Conflict-memo gate: a fixed-schedule frontier searches space
+# maps (SpaceSearch), which still routes exact verdicts through the
+# kernel-lattice memo — and must find repeats there.
+"$CFMAP" client --addr "$ADDR" --post /pareto \
+    --body '{"algorithm":"matmul","mu":[4],"schedule":[1,4,1]}' | grep -q '"status":"ok"' \
+    || { echo "fixed-schedule /pareto did not answer ok"; exit 1; }
+MEMO_HITS=$("$CFMAP" client --addr "$ADDR" --get /metrics \
+    | sed -n 's/^cfmap_conflict_memo_hits_total \([0-9]*\)$/\1/p')
+[ "${MEMO_HITS:-0}" -gt 0 ] \
+    || { echo "cfmap_conflict_memo_hits_total = '${MEMO_HITS:-missing}', want > 0"; exit 1; }
 exec 9>&-          # close stdin: the daemon drains and exits
 wait "$CFMAPD_PID" || { echo "cfmapd did not exit cleanly"; exit 1; }
 CFMAPD_PID=
