@@ -1022,7 +1022,7 @@ pub fn e16_screening_core() -> ExperimentReport {
             "Legacy = memo off, full enumeration, sequential. Fast = kernel-lattice conflict memo + symmetry quotient, same LexMax tie-break. The experiment asserts certification, design and objective equality row by row before timing anything.".into(),
             "Procedure 5.1 (the bit-level rows and the inner searches of the joint rows) decides the rank and conflict gates from its per-search box-kernel table: dot products against every in-box kernel direction of the fixed S, no Hermite form and no memo traffic. Those rows read — for the memo hit rate, and their speedup is the quotient's alone.".into(),
             "The memo exploits that Exact feasibility depends only on ker_Z(T) over the index box: candidates with equal row span share one verdict. It still serves the space rows (S varies under a fixed Π, so no per-search table exists), fixed-schedule /pareto, and boxes too large to tabulate. Hit rates are per-search; the memo is process-wide, so the service amortizes across requests too.".into(),
-            "Sharded parallel enumeration is bit-identical by construction (replayed in sequential order) — `space_joint_props` proves it differentially; timings here are single-threaded so speedups are purely algorithmic.".into(),
+            "Every search runs on its caller's thread, so timings here are single-threaded and speedups are purely algorithmic.".into(),
             "Both columns use the allocation-free i64 condition-1 gate. Against the pre-§15 screen (bignum condition-1 gate, measured 1.10 s and 3.49 s on the two bit-level rows), the memo + quotient route measured 15.7× and 10.6× when it was introduced, before the box-kernel table.".into(),
         ],
     };
@@ -1190,7 +1190,7 @@ pub fn e17_pareto_frontiers() -> ExperimentReport {
         ],
         rows,
         notes: vec![
-            "One witness survives per distinct objective vector (the lex-greatest (S, Π) achieving it), so the frontier is a pure function of the problem — `tests/pareto_props.rs` proves equality with a brute-force oracle on exhaustively-enumerable problems and bit-identity across threads, the symmetry quotient, and the conflict memo.".into(),
+            "One witness survives per distinct objective vector (the lex-greatest (S, Π) achieving it), so the frontier is a pure function of the problem — `tests/pareto_props.rs` proves equality with a brute-force oracle on exhaustively-enumerable problems and bit-identity across the symmetry quotient and the conflict memo.".into(),
             "The fixed-space and fixed-schedule corners are asserted equal to Procedure 5.1 / the space search under `TieBreak::LexMax` before the row is reported.".into(),
             "The bandwidth axis is fed by `cfmap_systolic::peak_link_load` — mesh-routed, all channels aggregated per directed link; designs with Π·d̄ < ‖S·d̄‖₁ are unroutable and leave the candidate space. Tracking bandwidth disables the early-stop and the symmetry quotient, so the 4-axis rows screen the full horizon.".into(),
             "A per-link budget (`max_bandwidth`) is a hard feasibility filter: the ≤1 row keeps exactly the designs a single-word-per-cycle mesh can carry.".into(),

@@ -29,9 +29,8 @@ pub mod clock {
     //! directly, so tests can drive expiry deterministically: install a
     //! [`TestClock`] and advance it from a candidate probe, and the
     //! search trips its deadline at an exact, reproducible candidate
-    //! count. The override is thread-local, which suffices because the
-    //! searches run sequentially whenever a budget is in force (see
-    //! `Procedure51::solve_parallel`).
+    //! count. The override is thread-local, which suffices because every
+    //! search runs on its caller's thread.
 
     use std::cell::Cell;
     use std::sync::OnceLock;
@@ -98,18 +97,6 @@ pub mod clock {
         fn drop(&mut self) {
             TEST_NOW.with(|c| c.set(None));
         }
-    }
-
-    /// Advance the current thread's installed override by `us`
-    /// microseconds. Equivalent to [`TestClock::advance`], but callable
-    /// from contexts that demand `Sync` closures (a candidate probe),
-    /// where holding a `&TestClock` — deliberately `!Sync` — is not
-    /// possible. Panics if no override is installed on this thread.
-    pub fn advance_test_clock(us: u64) {
-        TEST_NOW.with(|c| {
-            let now = c.get().expect("no test clock installed on this thread");
-            c.set(Some(now.saturating_add(us)));
-        });
     }
 }
 

@@ -102,10 +102,11 @@ pub enum CfmapError {
         /// What was requested and what the supported range is.
         reason: String,
     },
-    /// An internal invariant broke — e.g. a worker thread of the
-    /// parallel search panicked. Unlike every other variant this is a
-    /// bug in cfmap, not in the caller's input; surfacing it as an error
-    /// (HTTP 500 on the wire) keeps the pipeline's panic-free contract.
+    /// An internal invariant broke — e.g. a Pareto frontier point failed
+    /// its simulator re-verification. Unlike every other variant this is
+    /// a bug in cfmap, not in the caller's input; surfacing it as an
+    /// error (HTTP 500 on the wire) keeps the pipeline's panic-free
+    /// contract.
     Internal {
         /// Where the invariant broke.
         context: String,
@@ -231,7 +232,7 @@ mod tests {
             ),
             (CfmapError::Unsupported { reason: "3-row S".into() }, "unsupported"),
             (
-                CfmapError::Internal { context: "solve_parallel worker".into() },
+                CfmapError::Internal { context: "pareto frontier verification".into() },
                 "internal error",
             ),
             (

@@ -15,13 +15,9 @@
 //!
 //! The screening hot path shares Procedure 5.1's fast machinery (see
 //! `space_search`): exact verdicts go through the kernel-lattice conflict
-//! memo, the outer space-row space can be quotiented by the bare
+//! memo, and the outer space-row space can be quotiented by the bare
 //! problem's symmetry stabilizer ([`crate::canon::problem_stabilizer`] —
-//! no `Π` is pinned here, `S` itself is the variable), and
-//! [`JointSearch::solve_parallel`] fans the outer rows over a worker pool
-//! with a shared atomic best-time bound, replaying the collected results
-//! in sequential row order so the answer stays bit-identical to
-//! [`JointSearch::solve`].
+//! no `Π` is pinned here, `S` itself is the variable).
 
 use crate::budget::{CancelToken, SearchBudget, SearchOutcome};
 use crate::canon::Stabilizer;
@@ -30,11 +26,8 @@ use crate::error::{BudgetLimit, CfmapError};
 use crate::mapping::{MappingMatrix, SpaceMap};
 use crate::metrics::SearchTelemetry;
 use crate::search::{Procedure51, SymmetryMode, TieBreak};
-use cfmap_intlin::Int;
+use crate::space_search::{canonical_rows, is_class_representative, vlsi_cost};
 use cfmap_model::{LinearSchedule, Uda};
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// What "optimal" means for a complete design (Problem 6.2's "certain
 /// criterion").
@@ -70,10 +63,10 @@ pub struct JointOptimal {
     pub space_maps_tried: u64,
 }
 
-/// A fully-screened outer candidate: its index in the canonical row
-/// order, and — when its inner schedule search found a design under the
-/// cap it ran with — the complete design and its `(time, cost)` pair.
-type RowResult = (usize, Option<(i64, i64, JointOptimal)>);
+/// A fully-screened outer candidate: when its inner schedule search
+/// found a design under the cap it ran with, the complete design and its
+/// `(time, cost)` pair.
+type RowResult = Option<(i64, i64, JointOptimal)>;
 
 /// Problem 6.2 search over 1-row space maps.
 pub struct JointSearch<'a> {
@@ -180,36 +173,6 @@ impl<'a> JointSearch<'a> {
         }
     }
 
-    fn space_cost(&self, space: &SpaceMap) -> Result<i64, CfmapError> {
-        // Sites: bounding span of the 1-row image; wires: Σ‖S·d̄ᵢ‖₁.
-        let overflow = |what: &str| CfmapError::Overflow {
-            context: format!("joint-search space cost: {what} does not fit in i64"),
-        };
-        let row = space.as_mat().row(0);
-        let (mut lo, mut hi) = (Int::zero(), Int::zero());
-        for (i, c) in row.iter().enumerate() {
-            let m = Int::from(self.alg.index_set.mu_i(i));
-            if c.is_positive() {
-                hi += &(c * &m);
-            } else {
-                lo += &(c * &m);
-            }
-        }
-        let sites = (&hi - &lo).to_i64().ok_or_else(|| overflow("processor span"))?
-            .checked_add(1)
-            .ok_or_else(|| overflow("processor count"))?;
-        let mut wires = 0i64;
-        for i in 0..self.alg.num_deps() {
-            let hop = row
-                .dot(&self.alg.deps.dep(i))
-                .abs()
-                .to_i64()
-                .ok_or_else(|| overflow("wire length"))?;
-            wires = wires.checked_add(hop).ok_or_else(|| overflow("total wire length"))?;
-        }
-        sites.checked_add(wires).ok_or_else(|| overflow("sites + wires"))
-    }
-
     fn score(&self, time: i64, cost: i64) -> (i64, i64) {
         match self.criterion {
             JointCriterion::TimeThenSpace => (time, cost),
@@ -244,28 +207,16 @@ impl<'a> JointSearch<'a> {
         Some(stab)
     }
 
-    /// The canonical outer candidate rows (nonzero, first nonzero entry
-    /// positive, lex-ascending), quotient-filtered when one is active.
-    /// Returns the rows and the number of non-representatives dropped.
+    /// The [`canonical_rows`] pool of outer candidate rows,
+    /// quotient-filtered when one is active. Returns the rows and the
+    /// number of non-representatives dropped.
     fn candidate_rows(&self, quotient: Option<&Stabilizer>) -> (Vec<Vec<i64>>, u64) {
-        let n = self.alg.dim();
-        let mut rows: Vec<Vec<i64>> = Vec::new();
-        let mut pruned = 0u64;
-        collect_rows_rec(&mut vec![0i64; n], 0, self.entry_bound, &mut |r| {
-            if r.iter().all(|&x| x == 0) {
-                return;
-            }
-            if r.iter().find(|&&x| x != 0).is_some_and(|&x| x < 0) {
-                return;
-            }
-            if quotient.is_some_and(|stab| {
-                !crate::space_search::is_class_representative(stab, std::slice::from_ref(&r.to_vec()))
-            }) {
-                pruned += 1;
-                return;
-            }
-            rows.push(r.to_vec());
-        });
+        let mut rows = canonical_rows(self.alg.dim(), self.entry_bound);
+        let before = rows.len();
+        if let Some(stab) = quotient {
+            rows.retain(|r| is_class_representative(stab, std::slice::from_ref(r)));
+        }
+        let pruned = (before - rows.len()) as u64;
         (rows, pruned)
     }
 
@@ -274,7 +225,6 @@ impl<'a> JointSearch<'a> {
     /// the cap.
     fn solve_row(
         &self,
-        idx: usize,
         row: &[i64],
         cap: i64,
         tel: &mut SearchTelemetry,
@@ -296,7 +246,7 @@ impl<'a> JointSearch<'a> {
         tel.budget_limit = inner.telemetry.budget_limit;
         let design = match inner.into_mapping() {
             Some(opt) => {
-                let cost = self.space_cost(&space)?;
+                let (cost, _, _) = vlsi_cost(self.alg, &space)?;
                 let time = opt.total_time;
                 let sol = JointOptimal {
                     space,
@@ -310,16 +260,16 @@ impl<'a> JointSearch<'a> {
             }
             None => None,
         };
-        Ok((idx, design))
+        Ok(design)
     }
 
-    /// The incumbent-driven cap the sequential search hands an inner run:
-    /// the global objective cap, tightened under the time-first criterion
-    /// to the incumbent's time (exclusive for [`TieBreak::FirstFound`] —
+    /// The incumbent-driven cap the search hands an inner run: the
+    /// global objective cap, tightened under the time-first criterion to
+    /// the incumbent's time (exclusive for [`TieBreak::FirstFound`] —
     /// only strictly faster rows can win; inclusive for
     /// [`TieBreak::LexMax`] — equal-time rows must still be seen so the
     /// lex-greatest minimal-score row is kept).
-    fn sequential_cap(&self, incumbent: Option<i64>) -> i64 {
+    fn incumbent_cap(&self, incumbent: Option<i64>) -> i64 {
         let mut cap = self.max_objective.unwrap_or(i64::MAX);
         if self.criterion == JointCriterion::TimeThenSpace {
             if let Some(t) = incumbent {
@@ -358,14 +308,14 @@ impl<'a> JointSearch<'a> {
         let mut tel = SearchTelemetry::default();
         tel.orbits_pruned += pruned;
         crate::metrics::ORBITS_PRUNED.add(pruned);
-        for (idx, r) in rows.iter().enumerate() {
+        for r in &rows {
             // The charged space map is still screened; the trip takes
             // effect before the *next* one, keeping degradation
             // deterministic for candidate budgets.
             let limit = meter.charge_candidate().or_else(|| self.cancel_tripped());
             let tried = meter.candidates;
-            let cap = self.sequential_cap(best.as_ref().map(|(inc, _)| inc.total_time));
-            let (_, design) = self.solve_row(idx, r, cap, &mut tel)?;
+            let cap = self.incumbent_cap(best.as_ref().map(|(inc, _)| inc.total_time));
+            let design = self.solve_row(r, cap, &mut tel)?;
             // The inner budget carries only time-critical limits
             // (deadline / cancellation), so an inner trip ends the joint
             // search too — even on the last space map, where the
@@ -409,158 +359,6 @@ impl<'a> JointSearch<'a> {
             }
         }
     }
-
-    /// [`Self::solve`] with the outer space rows fanned over `threads`
-    /// workers. A shared atomic best-time bound prunes inner searches
-    /// under the time-first criterion — it is never tightened below the
-    /// optimal time, so every row that could win is solved intact — and
-    /// the collected per-row results are replayed in sequential row
-    /// order, making the outcome bit-identical to the sequential search.
-    /// Budgeted or cancellable searches delegate to [`Self::solve`] so
-    /// degradation semantics stay exactly deterministic.
-    pub fn solve_parallel(
-        &self,
-        threads: usize,
-    ) -> Result<SearchOutcome<JointOptimal>, CfmapError> {
-        assert!(threads >= 1, "need at least one worker");
-        if threads == 1 || !self.budget.is_unlimited() || self.cancel.is_some() {
-            return self.solve();
-        }
-        let quotient = self.active_quotient();
-        let (rows, pruned) = self.candidate_rows(quotient.as_ref());
-        let mut tel = SearchTelemetry::default();
-        tel.orbits_pruned += pruned;
-        crate::metrics::ORBITS_PRUNED.add(pruned);
-
-        let cursor = AtomicUsize::new(0);
-        let best_time = AtomicI64::new(i64::MAX);
-        let panicked = AtomicBool::new(false);
-        let error: Mutex<Option<CfmapError>> = Mutex::new(None);
-        let results: Mutex<Vec<(RowResult, SearchTelemetry)>> = Mutex::new(Vec::new());
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        self.process_row_shard(&rows, &cursor, &best_time, &error, &results);
-                    }));
-                    if run.is_err() {
-                        panicked.store(true, Ordering::SeqCst);
-                    }
-                });
-            }
-        });
-        if panicked.load(Ordering::SeqCst) {
-            return Err(CfmapError::Internal {
-                context: "joint solve_parallel worker panicked".to_string(),
-            });
-        }
-        if let Some(err) = error.into_inner().unwrap() {
-            return Err(err);
-        }
-        let mut results = results.into_inner().unwrap();
-        // Replay in sequential row order: deterministic telemetry
-        // aggregation and a winner identical to the sequential scan's.
-        results.sort_by_key(|((idx, _), _)| *idx);
-        let mut intact: Vec<(usize, (i64, i64, JointOptimal))> = Vec::new();
-        for ((idx, design), rtel) in results {
-            tel.merge(&rtel);
-            if let Some(d) = design {
-                intact.push((idx, d));
-            }
-        }
-        let examined = rows.len() as u64;
-        match self.pick_winner(intact) {
-            Some(mut sol) => {
-                sol.space_maps_tried = examined;
-                Ok(SearchOutcome::optimal(sol, examined).with_telemetry(tel))
-            }
-            None => Ok(SearchOutcome::infeasible(examined).with_telemetry(tel)),
-        }
-    }
-
-    /// One worker's share of the outer rows: claim rows off the cursor,
-    /// solve each inner search under the shared best-time bound, and fold
-    /// the results back.
-    fn process_row_shard(
-        &self,
-        rows: &[Vec<i64>],
-        cursor: &AtomicUsize,
-        best_time: &AtomicI64,
-        error: &Mutex<Option<CfmapError>>,
-        results: &Mutex<Vec<(RowResult, SearchTelemetry)>>,
-    ) {
-        loop {
-            let idx = cursor.fetch_add(1, Ordering::Relaxed);
-            if idx >= rows.len() {
-                break;
-            }
-            let mut cap = self.max_objective.unwrap_or(i64::MAX);
-            if self.criterion == JointCriterion::TimeThenSpace {
-                // Inclusive bound: the winner's time t* is the minimum
-                // over all rows, so capping at the best achieved time so
-                // far never truncates a row whose optimum is ≤ t*.
-                cap = cap.min(best_time.load(Ordering::Relaxed));
-            }
-            let mut rtel = SearchTelemetry::default();
-            match self.solve_row(idx, &rows[idx], cap, &mut rtel) {
-                Ok(result) => {
-                    if let (_, Some((time, _, _))) = &result {
-                        if self.criterion == JointCriterion::TimeThenSpace {
-                            best_time.fetch_min(*time, Ordering::Relaxed);
-                        }
-                    }
-                    results.lock().unwrap().push((result, rtel));
-                }
-                Err(e) => {
-                    *error.lock().unwrap() = Some(e);
-                    break;
-                }
-            }
-        }
-    }
-
-    /// The sequential scan's winner, recomputed from complete per-row
-    /// results. Under the time-first criterion with
-    /// [`TieBreak::FirstFound`] the sequential pruning cap (`t − 1`)
-    /// blinds the scan to cost differences among equal-time rows, so the
-    /// winner is the *first* row achieving the minimal time; in every
-    /// other configuration all minimal-score rows are fully scored and
-    /// the tie-break picks the first or last of them.
-    fn pick_winner(
-        &self,
-        intact: Vec<(usize, (i64, i64, JointOptimal))>,
-    ) -> Option<JointOptimal> {
-        let keyed: Vec<(usize, (i64, i64), JointOptimal)> = intact
-            .into_iter()
-            .map(|(idx, (time, cost, sol))| {
-                let key = match (self.criterion, self.tie_break) {
-                    (JointCriterion::TimeThenSpace, TieBreak::FirstFound) => (time, 0),
-                    _ => self.score(time, cost),
-                };
-                (idx, key, sol)
-            })
-            .collect();
-        let best_key = keyed.iter().map(|(_, k, _)| *k).min()?;
-        let winners = keyed.into_iter().filter(|(_, k, _)| *k == best_key);
-        let picked = match self.tie_break {
-            TieBreak::FirstFound => winners.min_by_key(|(idx, _, _)| *idx),
-            TieBreak::LexMax => winners.max_by_key(|(idx, _, _)| *idx),
-        };
-        picked.map(|(_, _, sol)| sol)
-    }
-}
-
-fn collect_rows_rec(row: &mut Vec<i64>, idx: usize, bound: i64, f: &mut impl FnMut(&[i64])) {
-    if idx == row.len() {
-        f(row);
-        return;
-    }
-    for v in -bound..=bound {
-        row[idx] = v;
-        collect_rows_rec(row, idx + 1, bound, f);
-    }
-    row[idx] = 0;
 }
 
 #[cfg(test)]
@@ -743,33 +541,7 @@ mod tests {
                 assert_eq!(quot.schedule, base.schedule);
                 assert_eq!(quot.total_time, base.total_time);
                 assert_eq!(quot.space_cost, base.space_cost);
-                for threads in [2usize, 4] {
-                    let par = JointSearch::new(&alg)
-                        .criterion(criterion)
-                        .tie_break(TieBreak::LexMax)
-                        .symmetry(SymmetryMode::Quotient)
-                        .solve_parallel(threads)
-                        .unwrap()
-                        .expect_optimal("par");
-                    assert_eq!(par.space, quot.space);
-                    assert_eq!(par.schedule, quot.schedule);
-                    assert_eq!(par.total_time, quot.total_time);
-                    assert_eq!(par.space_cost, quot.space_cost);
-                    assert_eq!(par.space_maps_tried, quot.space_maps_tried);
-                }
             }
         }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_firstfound() {
-        let alg = algorithms::matmul(3);
-        let seq = JointSearch::new(&alg).solve().unwrap().expect_optimal("seq");
-        let par = JointSearch::new(&alg).solve_parallel(3).unwrap().expect_optimal("par");
-        assert_eq!(par.space, seq.space);
-        assert_eq!(par.schedule, seq.schedule);
-        assert_eq!(par.total_time, seq.total_time);
-        assert_eq!(par.space_cost, seq.space_cost);
-        assert_eq!(par.space_maps_tried, seq.space_maps_tried);
     }
 }

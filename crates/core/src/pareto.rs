@@ -26,9 +26,9 @@
 //! **Determinism.** The frontier is a pure function of the problem and
 //! the knobs: one witness design is kept per distinct objective vector —
 //! the lexicographically greatest `(space rows, schedule)` among all
-//! accepted candidates achieving that vector — so thread counts, the
-//! symmetry quotient, and the conflict memo cannot change the result
-//! (`tests/pareto_props.rs` proves all three equalities).
+//! accepted candidates achieving that vector — so neither the symmetry
+//! quotient nor the conflict memo can change the result
+//! (`tests/pareto_props.rs` proves both equalities).
 
 use crate::canon::Stabilizer;
 use crate::conditions::{check, check_memoized, rule_for, ConditionKind};
@@ -37,19 +37,16 @@ use crate::error::CfmapError;
 use crate::mapping::{MappingMatrix, SpaceMap};
 use crate::metrics::SearchTelemetry;
 use crate::search::{weighted_objective, Procedure51, SymmetryMode, TieBreak};
-use crate::space_search::{collect_rows, is_class_representative, vlsi_cost};
+use crate::space_search::{canonical_rows, is_class_representative, vlsi_cost};
 use cfmap_intlin::dominance::non_dominated_indices;
 use cfmap_intlin::{hnf_prefix_i64, HnfPrefix, HnfWorkspace, IMat, Rat};
 use cfmap_model::{LinearSchedule, Uda};
 use std::collections::{BTreeMap, BTreeSet};
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The injected bandwidth evaluator: peak per-link load of a design,
 /// or `None` when the design is mesh-unroutable. Production installs
 /// `cfmap_systolic::peak_link_load`; tests may install fakes.
-pub type BandwidthProbe<'a> = dyn Fn(&MappingMatrix) -> Option<u64> + Sync + 'a;
+pub type BandwidthProbe<'a> = dyn Fn(&MappingMatrix) -> Option<u64> + 'a;
 
 /// Per-array resource budgets and the axes the frontier tracks.
 ///
@@ -389,23 +386,8 @@ impl<'a> ParetoSearch<'a> {
         self.validate()?;
         match self.space {
             Some(space) => self.solve_fixed_space(space),
-            None => self.solve_rows(1),
+            None => self.solve_rows(),
         }
-    }
-
-    /// [`Self::solve`] with the enumerated space rows sharded over
-    /// `threads` workers. Bit-identical to the sequential search: each
-    /// row's scan is independent, and the accepted designs are replayed
-    /// in row order before the (order-independent) witness dedup and
-    /// dominance filter. The fixed-space scope has no row fan-out and
-    /// delegates to [`Self::solve`].
-    pub fn solve_parallel(&self, threads: usize) -> Result<ParetoFrontier, CfmapError> {
-        assert!(threads >= 1, "need at least one worker");
-        if threads == 1 || self.space.is_some() {
-            return self.solve();
-        }
-        self.validate()?;
-        self.solve_rows(threads)
     }
 
     /// Evaluate the optional bandwidth axis for an accepted design and
@@ -491,26 +473,6 @@ impl<'a> ParetoSearch<'a> {
             return None;
         }
         Some(stab)
-    }
-
-    /// The canonical 1-row candidate pool: nonzero rows with entries in
-    /// `[-entry_bound, entry_bound]`, first nonzero entry positive,
-    /// lex-ascending — exactly [`crate::SpaceSearch`]'s pool, so the
-    /// space corner can be compared design-for-design.
-    fn candidate_rows(&self) -> Vec<Vec<i64>> {
-        let n = self.alg.dim();
-        let mut pool: Vec<Vec<i64>> = Vec::new();
-        let mut row = vec![0i64; n];
-        collect_rows(&mut row, 0, self.entry_bound, &mut |r| {
-            if r.iter().all(|&x| x == 0) {
-                return;
-            }
-            if r.iter().find(|&&x| x != 0).is_some_and(|&x| x < 0) {
-                return; // canonical sign
-            }
-            pool.push(r.to_vec());
-        });
-        pool
     }
 
     /// Screen one candidate row. `fixed_time` is `Some(makespan)` in
@@ -602,11 +564,11 @@ impl<'a> ParetoSearch<'a> {
         Ok(scan)
     }
 
-    /// Fixed-schedule and joint scopes: enumerate the canonical row
-    /// pool (optionally quotiented), screen each row, and fold the
-    /// accepted designs — in row order, so the parallel path replays to
-    /// a bit-identical frontier.
-    fn solve_rows(&self, threads: usize) -> Result<ParetoFrontier, CfmapError> {
+    /// Fixed-schedule and joint scopes: enumerate the canonical 1-row
+    /// pool — exactly [`crate::SpaceSearch`]'s, so the space corner can be
+    /// compared design-for-design — optionally quotiented, screen each
+    /// row, and fold the accepted designs.
+    fn solve_rows(&self) -> Result<ParetoFrontier, CfmapError> {
         let fixed_time = match self.schedule {
             Some(pi) => {
                 if !pi.is_valid_for(&self.alg.deps) {
@@ -626,23 +588,15 @@ impl<'a> ParetoSearch<'a> {
             None => None,
         };
         let quotient = self.active_quotient();
-        let rows = self.candidate_rows();
         let prefix = self
             .schedule
             .and_then(|pi| hnf_prefix_i64(&IMat::from_rows(&[pi.as_slice()])));
-        let scans = if threads == 1 {
-            let mut ws = HnfWorkspace::new();
-            let mut out = Vec::with_capacity(rows.len());
-            for row in &rows {
-                out.push(self.row_accepts(row, fixed_time, quotient.as_ref(), prefix.as_ref(), &mut ws)?);
-            }
-            out
-        } else {
-            self.scan_rows_parallel(&rows, fixed_time, quotient.as_ref(), prefix.as_ref(), threads)?
-        };
+        let mut ws = HnfWorkspace::new();
         let mut fb = FrontierBuilder::default();
         let mut tel = SearchTelemetry::default();
-        for scan in scans {
+        for row in canonical_rows(self.alg.dim(), self.entry_bound) {
+            let scan =
+                self.row_accepts(&row, fixed_time, quotient.as_ref(), prefix.as_ref(), &mut ws)?;
             if scan.pruned {
                 tel.orbits_pruned += 1;
                 crate::metrics::ORBITS_PRUNED.inc();
@@ -655,69 +609,6 @@ impl<'a> ParetoSearch<'a> {
         }
         let examined = tel.enumerated;
         Ok(fb.finish(examined, tel))
-    }
-
-    /// Shard the row pool over a worker pool with a work-stealing
-    /// cursor; results are collected with their row indices and sorted
-    /// before folding, so the fold is the sequential one verbatim.
-    fn scan_rows_parallel(
-        &self,
-        rows: &[Vec<i64>],
-        fixed_time: Option<i64>,
-        quotient: Option<&Stabilizer>,
-        prefix: Option<&HnfPrefix>,
-        threads: usize,
-    ) -> Result<Vec<RowScan>, CfmapError> {
-        let cursor = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let panicked = AtomicBool::new(false);
-        let error: Mutex<Option<CfmapError>> = Mutex::new(None);
-        let collected: Mutex<Vec<(usize, RowScan)>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut ws = HnfWorkspace::new();
-                    let mut local: Vec<(usize, RowScan)> = Vec::new();
-                    loop {
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        if idx >= rows.len() {
-                            break;
-                        }
-                        let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                            self.row_accepts(&rows[idx], fixed_time, quotient, prefix, &mut ws)
-                        }));
-                        match out {
-                            Ok(Ok(scan)) => local.push((idx, scan)),
-                            Ok(Err(e)) => {
-                                *error.lock().unwrap() = Some(e);
-                                stop.store(true, Ordering::SeqCst);
-                                break;
-                            }
-                            Err(_) => {
-                                panicked.store(true, Ordering::SeqCst);
-                                stop.store(true, Ordering::SeqCst);
-                                break;
-                            }
-                        }
-                    }
-                    collected.lock().unwrap().extend(local);
-                });
-            }
-        });
-        if panicked.load(Ordering::SeqCst) {
-            return Err(CfmapError::Internal {
-                context: "Pareto solve_parallel worker panicked".to_string(),
-            });
-        }
-        if let Some(e) = error.lock().unwrap().take() {
-            return Err(e);
-        }
-        let mut all = collected.into_inner().unwrap();
-        all.sort_by_key(|(i, _)| *i);
-        Ok(all.into_iter().map(|(_, s)| s).collect())
     }
 }
 
@@ -846,20 +737,6 @@ mod tests {
             .solve()
             .unwrap_err();
         assert!(matches!(err, CfmapError::Unsupported { .. }));
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        let alg = algorithms::transitive_closure(3);
-        let seq = ParetoSearch::new(&alg).solve().unwrap();
-        let par = ParetoSearch::new(&alg).solve_parallel(4).unwrap();
-        assert_eq!(seq.len(), par.len());
-        assert_eq!(seq.points_seen, par.points_seen);
-        for (a, b) in seq.points.iter().zip(&par.points) {
-            assert_eq!(a.objective_vector(), b.objective_vector());
-            assert_eq!(a.space_rows(), b.space_rows());
-            assert_eq!(a.schedule.as_slice(), b.schedule.as_slice());
-        }
     }
 
     #[test]

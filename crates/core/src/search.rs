@@ -45,9 +45,6 @@ use crate::mapping::{route, InterconnectionPrimitives, MappingMatrix, Routing, S
 use crate::metrics::{ConditionRule, SearchTelemetry};
 use cfmap_intlin::{hnf_prefix_i64, HnfPrefix, HnfWorkspace};
 use cfmap_model::{LinearSchedule, Uda};
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
 /// The result of a successful optimal-mapping search.
@@ -133,7 +130,7 @@ pub struct Procedure51<'a> {
 
 /// A per-candidate instrumentation hook (see
 /// [`Procedure51::candidate_probe`]).
-type CandidateProbe<'a> = &'a (dyn Fn(&[i64]) + Sync);
+type CandidateProbe<'a> = &'a dyn Fn(&[i64]);
 
 /// How ties among equally-optimal schedules at the winning objective
 /// level are broken.
@@ -259,31 +256,8 @@ struct Quotient {
     classes: Option<Vec<Option<usize>>>,
 }
 
-/// Per-level shared state of the sharded parallel search.
-struct LevelWork {
-    cost: i64,
-    candidates: Vec<Vec<i64>>,
-    /// Work-stealing cursor: workers claim `SHARD_BATCH`-sized index
-    /// ranges until the level is drained.
-    cursor: AtomicUsize,
-    /// `FirstFound` mid-level prune: smallest accepted index so far
-    /// (`u64::MAX` until the first acceptance). Any candidate with a
-    /// larger index cannot win, so workers skip its screening.
-    best_idx: AtomicU64,
-    /// `LexMax` mid-level prune: bumped on every improvement of
-    /// `best_pi` so workers can refresh their cached copy lock-free.
-    best_version: AtomicU64,
-    /// Lex-greatest accepted schedule so far.
-    best_pi: Mutex<Option<Vec<i64>>>,
-    /// Set when a worker's screening panicked; the level's results are
-    /// then discarded and the search reports `CfmapError::Internal`.
-    panicked: AtomicBool,
-    hits: Mutex<Vec<(usize, OptimalMapping)>>,
-    tel: Mutex<SearchTelemetry>,
-}
-
 /// Screening state derived once per search from the fixed `S`, `D` and
-/// index box, shared read-only by every candidate and worker.
+/// index box, shared read-only by every candidate.
 struct ScreenPrep {
     /// The dependence columns as machine integers for the condition-1
     /// gate (see [`Procedure51::deps_columns_i64`]).
@@ -304,11 +278,6 @@ struct ScreenPrep {
 /// first candidate of every search is timed). A clock read pair costs
 /// several times a condition-1 rejection.
 const SCREEN_SAMPLE_EVERY: u64 = 64;
-
-/// Candidates claimed per cursor bump in the sharded parallel search —
-/// small enough to load-balance a level with a few hundred candidates,
-/// large enough to keep the cursor off the contention path.
-const SHARD_BATCH: usize = 16;
 
 /// Ceiling for the adaptive objective-cap extension. The extension is
 /// driven by a screened mixed-radix witness, so levels up to the new cap
@@ -496,10 +465,10 @@ impl<'a> Procedure51<'a> {
     }
 
     /// Install a per-candidate probe, invoked with each candidate `Π`
-    /// before screening. Test instrumentation (panic injection, candidate
-    /// recording) — not part of the stable API.
+    /// before screening. Test instrumentation (candidate recording,
+    /// cancellation and deadline injection) — not part of the stable API.
     #[doc(hidden)]
-    pub fn candidate_probe(mut self, probe: &'a (dyn Fn(&[i64]) + Sync)) -> Self {
+    pub fn candidate_probe(mut self, probe: &'a dyn Fn(&[i64])) -> Self {
         self.probe = Some(probe);
         self
     }
@@ -562,7 +531,7 @@ impl<'a> Procedure51<'a> {
             if let Some(mut win) = found {
                 if self.tie_break == TieBreak::LexMax {
                     // The winner may have been screened mid-level; report
-                    // the whole level's effort (matches solve_parallel).
+                    // the whole level's effort.
                     win.candidates_examined = meter.candidates;
                 }
                 return Ok(SearchOutcome::optimal(win, meter.candidates).with_telemetry(tel));
@@ -1100,217 +1069,6 @@ impl<'a> Procedure51<'a> {
         })
     }
 
-    /// [`Self::solve`] with each objective level's candidates screened by
-    /// a persistent pool of `threads` workers. Workers claim
-    /// [`SHARD_BATCH`]-sized index ranges off a shared cursor (so a slow
-    /// shard never stalls the level the way fixed chunking did) and
-    /// publish acceptances into shared per-level state mid-flight —
-    /// under `FirstFound` an atomic least-accepted-index, under `LexMax`
-    /// a versioned lex-greatest schedule — which the other workers use
-    /// to skip candidates that provably cannot win. The final winner is
-    /// re-derived from the complete hit list, so the result is
-    /// deterministic and bit-identical to the sequential search
-    /// (including the symmetry-quotiented space when active).
-    ///
-    /// A non-unlimited budget — or an attached [`CancelToken`] —
-    /// delegates to the sequential search so that budget and
-    /// cancellation semantics stay exactly deterministic.
-    pub fn solve_parallel(
-        &self,
-        threads: usize,
-    ) -> Result<SearchOutcome<OptimalMapping>, CfmapError> {
-        assert!(threads >= 1, "need at least one worker");
-        if threads == 1 || !self.budget.is_unlimited() || self.cancel.is_some() {
-            return self.solve();
-        }
-        self.check_cap()?;
-        let mut examined_before = 0u64;
-        let mut tel = SearchTelemetry::default();
-        // Shared read-only screening state; each worker owns its scratch.
-        let prep = self.screen_prep();
-        let quotient = self.active_quotient();
-        let mut counter = quotient.as_ref().map(|_| FullCounter::new(self.alg.index_set.mu()));
-        let mut hybrid = HybridState::new(self.hybrid);
-
-        // Level hand-off: the main thread publishes an Arc<LevelWork>
-        // into `slot`, releases the workers through `start`, and collects
-        // them at `done`. An empty slot after `start` is the shutdown
-        // signal. Workers never touch the barriers out of lock-step:
-        // screening panics are contained by catch_unwind (an escaped
-        // panic would desert the barrier and deadlock the pool).
-        let slot: Mutex<Option<Arc<LevelWork>>> = Mutex::new(None);
-        let start = Barrier::new(threads + 1);
-        let done = Barrier::new(threads + 1);
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    start.wait();
-                    let Some(level) = slot.lock().unwrap().clone() else { break };
-                    let shard = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        self.process_level_shard(&level, &prep);
-                    }));
-                    if shard.is_err() {
-                        level.panicked.store(true, Ordering::SeqCst);
-                    }
-                    done.wait();
-                });
-            }
-            let mut run = || -> Result<SearchOutcome<OptimalMapping>, CfmapError> {
-                let mut cap = self.max_objective;
-                let mut extended = false;
-                let mut cost = 1i64;
-                while cost <= cap {
-                    let mut candidates: Vec<Vec<i64>> = Vec::new();
-                    self.enumerate_level(cost, quotient.as_ref(), &mut |pi| {
-                        candidates.push(pi.to_vec());
-                    });
-                    let level_enumerated = candidates.len() as u64;
-                    account_orbits(cost, level_enumerated, counter.as_mut(), &mut tel);
-                    if !candidates.is_empty() {
-                        let level = Arc::new(LevelWork {
-                            cost,
-                            candidates,
-                            cursor: AtomicUsize::new(0),
-                            best_idx: AtomicU64::new(u64::MAX),
-                            best_version: AtomicU64::new(0),
-                            best_pi: Mutex::new(None),
-                            panicked: AtomicBool::new(false),
-                            hits: Mutex::new(Vec::new()),
-                            tel: Mutex::new(SearchTelemetry::default()),
-                        });
-                        *slot.lock().unwrap() = Some(level.clone());
-                        start.wait();
-                        done.wait();
-                        *slot.lock().unwrap() = None;
-                        if level.panicked.load(Ordering::SeqCst) {
-                            return Err(CfmapError::Internal {
-                                context: format!(
-                                    "solve_parallel worker panicked at objective level {cost}"
-                                ),
-                            });
-                        }
-                        let level_tel = std::mem::take(&mut *level.tel.lock().unwrap());
-                        let hits = std::mem::take(&mut *level.hits.lock().unwrap());
-                        let best = match self.tie_break {
-                            TieBreak::FirstFound => hits.into_iter().min_by_key(|(i, _)| *i),
-                            TieBreak::LexMax => hits.into_iter().max_by(|a, b| {
-                                a.1.schedule.as_slice().cmp(b.1.schedule.as_slice())
-                            }),
-                        };
-                        tel.merge(&level_tel); // workers record no levels of their own
-                        tel.record_level(cost, level_tel.enumerated, level_tel.accepted);
-                        let level_len = level.candidates.len() as u64;
-                        if let Some((idx, mut win)) = best {
-                            let examined = match self.tie_break {
-                                // Sequential equivalence: FirstFound stops
-                                // at the winner's index, LexMax screens
-                                // the whole level.
-                                TieBreak::FirstFound => examined_before + idx as u64 + 1,
-                                TieBreak::LexMax => examined_before + level_len,
-                            };
-                            win.candidates_examined = examined;
-                            return Ok(SearchOutcome::optimal(win, examined).with_telemetry(tel.clone()));
-                        }
-                        examined_before += level_len;
-                        if hybrid.should_escalate(level_enumerated) {
-                            hybrid.spent = true;
-                            if let Some(out) = self.escalate_to_ilp(&mut tel, examined_before) {
-                                return Ok(out.with_telemetry(tel.clone()));
-                            }
-                        }
-                    }
-                    cost += 1;
-                    if cost > cap && !extended && !self.cap_explicit {
-                        extended = true;
-                        if let Some(bound) = self.adaptive_cap_bound() {
-                            if bound > cap && bound <= ADAPTIVE_CAP_CEILING {
-                                cap = bound;
-                            }
-                        }
-                    }
-                }
-                Ok(SearchOutcome::infeasible(examined_before).with_telemetry(tel.clone()))
-            };
-            let outcome = run();
-            // Shutdown: an empty slot released through `start` makes
-            // every worker break out of its loop; the scope then joins
-            // them (no handle can panic — shards are unwind-contained).
-            *slot.lock().unwrap() = None;
-            start.wait();
-            outcome
-        })
-    }
-
-    /// One worker's share of a level: claim batches off the cursor,
-    /// screen them (skipping candidates the shared prune state proves
-    /// cannot win), and fold acceptances and telemetry back into the
-    /// level. See [`LevelWork`] for the pruning invariants.
-    fn process_level_shard(&self, level: &LevelWork, prep: &ScreenPrep) {
-        let mut wtel = SearchTelemetry::default();
-        let mut ws = HnfWorkspace::new();
-        let mut local_hits: Vec<(usize, OptimalMapping)> = Vec::new();
-        // Worker-cached copy of the shared lex floor, refreshed only when
-        // the version stamp moves (keeps the Mutex off the fast path).
-        let mut floor_version = 0u64;
-        let mut lex_floor: Option<Vec<i64>> = None;
-        'claims: loop {
-            let base = level.cursor.fetch_add(SHARD_BATCH, Ordering::Relaxed);
-            if base >= level.candidates.len() {
-                break;
-            }
-            let end = (base + SHARD_BATCH).min(level.candidates.len());
-            for idx in base..end {
-                let pi = &level.candidates[idx];
-                wtel.enumerated += 1;
-                match self.tie_break {
-                    TieBreak::FirstFound => {
-                        // A smaller accepted index exists: this candidate
-                        // cannot be the level winner.
-                        if (idx as u64) > level.best_idx.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                    }
-                    TieBreak::LexMax => {
-                        let v = level.best_version.load(Ordering::Acquire);
-                        if v != floor_version {
-                            lex_floor = level.best_pi.lock().unwrap().clone();
-                            floor_version = v;
-                        }
-                        // An accepted schedule ≥lex this candidate exists:
-                        // it cannot be the lex-greatest acceptance.
-                        if lex_floor.as_ref().is_some_and(|b| pi.as_slice() <= b.as_slice()) {
-                            continue;
-                        }
-                    }
-                }
-                if let Some(r) = self.try_candidate(pi, level.cost, 0, &mut wtel, prep, &mut ws) {
-                    wtel.accepted += 1;
-                    match self.tie_break {
-                        TieBreak::FirstFound => {
-                            level.best_idx.fetch_min(idx as u64, Ordering::Relaxed);
-                            local_hits.push((idx, r));
-                            // The cursor only moves forward: every index
-                            // this worker could still claim is larger.
-                            break 'claims;
-                        }
-                        TieBreak::LexMax => {
-                            let mut best = level.best_pi.lock().unwrap();
-                            if best.as_ref().is_none_or(|b| pi.as_slice() > b.as_slice()) {
-                                *best = Some(pi.clone());
-                                level.best_version.fetch_add(1, Ordering::Release);
-                            }
-                            drop(best);
-                            local_hits.push((idx, r));
-                        }
-                    }
-                }
-            }
-        }
-        level.hits.lock().unwrap().extend(local_hits);
-        level.tel.lock().unwrap().merge(&wtel);
-    }
-
     /// Count (without accepting) how many candidates exist up to the given
     /// objective — the search-space measurement of experiment E9.
     pub fn count_candidates(&self, max_objective: i64) -> u64 {
@@ -1805,49 +1563,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_search_matches_sequential() {
-        for (alg, s_row) in [
-            (algorithms::matmul(4), vec![1i64, 1, -1]),
-            (algorithms::transitive_closure(4), vec![0, 0, 1]),
-        ] {
-            let s = SpaceMap::row(&s_row);
-            let seq = Procedure51::new(&alg, &s).solve().unwrap().into_mapping().unwrap();
-            for threads in [2, 4] {
-                let par = Procedure51::new(&alg, &s)
-                    .solve_parallel(threads)
-                    .unwrap()
-                    .into_mapping()
-                    .unwrap();
-                assert_eq!(par.objective, seq.objective, "{} × {threads}", alg.name);
-                assert_eq!(
-                    par.schedule.as_slice(),
-                    seq.schedule.as_slice(),
-                    "{} × {threads}: deterministic tie-break",
-                    alg.name
-                );
-                assert_eq!(par.candidates_examined, seq.candidates_examined);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_worker_panic_is_an_error_not_an_abort() {
-        // Regression: a panic inside a parallel worker used to be
-        // re-raised by `h.join().expect(...)`, aborting the caller and
-        // violating the panic-free taxonomy. It must surface as
-        // CfmapError::Internal.
-        let alg = algorithms::matmul(3);
-        let s = SpaceMap::row(&[1, 1, -1]);
-        let boom = |_pi: &[i64]| panic!("injected candidate panic");
-        let err = Procedure51::new(&alg, &s)
-            .candidate_probe(&boom)
-            .solve_parallel(2)
-            .expect_err("worker panic must become an error");
-        assert!(matches!(err, CfmapError::Internal { .. }), "{err:?}");
-        assert!(err.to_string().contains("internal error"), "{err}");
-    }
-
-    #[test]
     fn telemetry_accounts_for_every_candidate() {
         let alg = algorithms::matmul(4);
         let s = SpaceMap::row(&[1, 1, -1]);
@@ -1892,15 +1607,6 @@ mod tests {
         assert_eq!(out.telemetry.budget_limit, Some(BudgetLimit::Candidates));
         assert!(out.telemetry.fallback_screened > 0);
         assert!(out.telemetry.condition_hits.exact > 0, "fallback screens exactly");
-    }
-
-    #[test]
-    fn parallel_search_single_thread_delegates() {
-        let alg = algorithms::matmul(3);
-        let s = SpaceMap::row(&[1, 1, -1]);
-        let a = Procedure51::new(&alg, &s).solve().unwrap().into_mapping().unwrap();
-        let b = Procedure51::new(&alg, &s).solve_parallel(1).unwrap().into_mapping().unwrap();
-        assert_eq!(a.objective, b.objective);
     }
 
     #[test]

@@ -21,11 +21,10 @@
 //! ([`HnfPrefix::complete_rows`]) — sound for the exact condition
 //! because rank and the saturated kernel lattice of `[Π; S]` equal those
 //! of `[S; Π]` (they depend only on the row span). Exact verdicts go
-//! through the process-wide kernel-lattice conflict memo, the candidate
-//! space can be quotiented by the problem's symmetry stabilizer under
-//! the `LexMax` pin, and [`SpaceSearch::solve_parallel`] shards each
-//! cost level over a worker pool — all bit-identical to the sequential
-//! unmemoized route (see `tests/space_joint_props.rs`).
+//! through the process-wide kernel-lattice conflict memo, and the
+//! candidate space can be quotiented by the problem's symmetry
+//! stabilizer under the `LexMax` pin — both bit-identical to the
+//! unmemoized full enumeration (see `tests/space_joint_props.rs`).
 
 use crate::budget::{SearchBudget, SearchOutcome};
 use crate::canon::Stabilizer;
@@ -38,9 +37,6 @@ use crate::search::{SymmetryMode, TieBreak};
 use cfmap_intlin::{hnf_prefix_i64, HnfPrefix, HnfWorkspace, IMat, Int};
 use cfmap_model::{LinearSchedule, Uda};
 use std::collections::BTreeMap;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
 
 /// The result of a space-optimal search.
 #[derive(Clone, Debug)]
@@ -61,38 +57,13 @@ pub struct SpaceOptimalMapping {
 
 /// One cost level of the candidate space: all candidates of equal VLSI
 /// cost, in lexicographically ascending row order (so the *last*
-/// acceptance of a level scan is the `LexMax` winner and index order
-/// equals lex order for the parallel pruning).
+/// acceptance of a level scan is the `LexMax` winner).
 struct CostLevel {
     cost: i64,
     candidates: Vec<Vec<Vec<i64>>>,
     /// Non-representative orbit members dropped by the symmetry quotient.
     pruned: u64,
 }
-
-/// Per-level shared state of the sharded parallel space search. Index
-/// order equals lex order within a level, so both tie-break prunes are
-/// plain atomics over candidate indices.
-struct SpaceLevelWork {
-    cost: i64,
-    candidates: Vec<Vec<Vec<i64>>>,
-    /// Work-stealing cursor: workers claim [`SHARD_BATCH`]-sized ranges.
-    cursor: AtomicUsize,
-    /// `FirstFound` prune: smallest accepted index so far.
-    best_first: AtomicU64,
-    /// `LexMax` prune: largest accepted index so far, stored as
-    /// `idx + 1` (`0` = none yet).
-    best_lex: AtomicU64,
-    /// Set when a worker's screening panicked.
-    panicked: AtomicBool,
-    /// First screening error (cost overflow) observed by any worker.
-    error: Mutex<Option<CfmapError>>,
-    hits: Mutex<Vec<(usize, SpaceOptimalMapping)>>,
-    tel: Mutex<SearchTelemetry>,
-}
-
-/// Candidates claimed per cursor bump in the sharded parallel search.
-const SHARD_BATCH: usize = 16;
 
 /// Problem 6.1 search over space maps with `rows` rows (`rows = 1` for
 /// linear arrays, `rows = 2` for 2-D arrays), entries in
@@ -249,25 +220,13 @@ impl<'a> SpaceSearch<'a> {
         hnf_prefix_i64(&IMat::from_rows(&[self.schedule.as_slice()]))
     }
 
-    /// Materialize the candidate space as cost levels: canonical nonzero
-    /// rows (first nonzero entry positive — negating a row of `S` only
-    /// relabels processors), combined into 1- or 2-row maps, grouped by
+    /// Materialize the candidate space as cost levels: rows of the
+    /// [`canonical_rows`] pool combined into 1- or 2-row maps, grouped by
     /// cost, lex-ascending within each level. When a quotient is active,
-    /// non-representative orbit members are dropped here (identically
-    /// for the sequential and parallel paths) and tallied per level.
+    /// non-representative orbit members are dropped here and tallied per
+    /// level.
     fn build_levels(&self, quotient: Option<&Stabilizer>) -> Result<Vec<CostLevel>, CfmapError> {
-        let n = self.alg.dim();
-        let mut rows_pool: Vec<Vec<i64>> = Vec::new();
-        let mut row = vec![0i64; n];
-        collect_rows(&mut row, 0, self.entry_bound, &mut |r| {
-            if r.iter().all(|&x| x == 0) {
-                return;
-            }
-            if r.iter().find(|&&x| x != 0).is_some_and(|&x| x < 0) {
-                return; // canonical sign
-            }
-            rows_pool.push(r.to_vec());
-        });
+        let rows_pool = canonical_rows(self.alg.dim(), self.entry_bound);
 
         // The pool is generated in lex-ascending order, so candidates
         // arrive lex-ascending and each level's vector stays sorted.
@@ -381,171 +340,6 @@ impl<'a> SpaceSearch<'a> {
         Ok(SearchOutcome::infeasible(meter.candidates).with_telemetry(tel))
     }
 
-    /// [`Self::solve`] with each cost level's candidates screened by a
-    /// pool of `threads` workers sharing mid-level pruning state, exactly
-    /// as [`crate::Procedure51::solve_parallel`]: the final winner is
-    /// re-derived from the complete hit list, so the result is
-    /// deterministic and bit-identical to the sequential search. A
-    /// non-unlimited budget delegates to the sequential search so budget
-    /// semantics stay exactly deterministic.
-    pub fn solve_parallel(
-        &self,
-        threads: usize,
-    ) -> Result<SearchOutcome<SpaceOptimalMapping>, CfmapError> {
-        assert!(threads >= 1, "need at least one worker");
-        if threads == 1 || !self.budget.is_unlimited() {
-            return self.solve();
-        }
-        self.validate()?;
-        let quotient = self.active_quotient();
-        let levels = self.build_levels(quotient.as_ref())?;
-        let prefix = self.screen_prefix();
-        let prefix_ref = prefix.as_ref();
-        let mut tel = SearchTelemetry::default();
-        let mut examined_before = 0u64;
-
-        let slot: Mutex<Option<Arc<SpaceLevelWork>>> = Mutex::new(None);
-        let start = Barrier::new(threads + 1);
-        let done = Barrier::new(threads + 1);
-
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    start.wait();
-                    let Some(level) = slot.lock().unwrap().clone() else { break };
-                    let shard = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                        self.process_level_shard(&level, prefix_ref);
-                    }));
-                    if shard.is_err() {
-                        level.panicked.store(true, Ordering::SeqCst);
-                    }
-                    done.wait();
-                });
-            }
-            let mut run = || -> Result<SearchOutcome<SpaceOptimalMapping>, CfmapError> {
-                for lvl in &levels {
-                    tel.orbits_pruned += lvl.pruned;
-                    crate::metrics::ORBITS_PRUNED.add(lvl.pruned);
-                    if lvl.candidates.is_empty() {
-                        continue;
-                    }
-                    let level = Arc::new(SpaceLevelWork {
-                        cost: lvl.cost,
-                        candidates: lvl.candidates.clone(),
-                        cursor: AtomicUsize::new(0),
-                        best_first: AtomicU64::new(u64::MAX),
-                        best_lex: AtomicU64::new(0),
-                        panicked: AtomicBool::new(false),
-                        error: Mutex::new(None),
-                        hits: Mutex::new(Vec::new()),
-                        tel: Mutex::new(SearchTelemetry::default()),
-                    });
-                    *slot.lock().unwrap() = Some(level.clone());
-                    start.wait();
-                    done.wait();
-                    *slot.lock().unwrap() = None;
-                    if level.panicked.load(Ordering::SeqCst) {
-                        return Err(CfmapError::Internal {
-                            context: format!(
-                                "space solve_parallel worker panicked at cost level {}",
-                                lvl.cost
-                            ),
-                        });
-                    }
-                    if let Some(err) = level.error.lock().unwrap().take() {
-                        return Err(err);
-                    }
-                    let level_tel = std::mem::take(&mut *level.tel.lock().unwrap());
-                    let hits = std::mem::take(&mut *level.hits.lock().unwrap());
-                    // Index order equals lex order within a level, so
-                    // both tie-breaks reduce to index extremes.
-                    let best = match self.tie_break {
-                        TieBreak::FirstFound => hits.into_iter().min_by_key(|(i, _)| *i),
-                        TieBreak::LexMax => hits.into_iter().max_by_key(|(i, _)| *i),
-                    };
-                    tel.merge(&level_tel);
-                    tel.record_level(lvl.cost, level_tel.enumerated, level_tel.accepted);
-                    let level_len = level.candidates.len() as u64;
-                    if let Some((idx, mut win)) = best {
-                        let examined = match self.tie_break {
-                            // Sequential equivalence: FirstFound stops at
-                            // the winner, LexMax screens the whole level.
-                            TieBreak::FirstFound => examined_before + idx as u64 + 1,
-                            TieBreak::LexMax => examined_before + level_len,
-                        };
-                        win.candidates_examined = examined;
-                        return Ok(
-                            SearchOutcome::optimal(win, examined).with_telemetry(tel.clone())
-                        );
-                    }
-                    examined_before += level_len;
-                }
-                Ok(SearchOutcome::infeasible(examined_before).with_telemetry(tel.clone()))
-            };
-            let outcome = run();
-            *slot.lock().unwrap() = None;
-            start.wait();
-            outcome
-        })
-    }
-
-    /// One worker's share of a cost level: claim batches off the cursor,
-    /// screen them (skipping candidates the shared prune state proves
-    /// cannot win), and fold acceptances and telemetry back.
-    fn process_level_shard(&self, level: &SpaceLevelWork, prefix: Option<&HnfPrefix>) {
-        let mut wtel = SearchTelemetry::default();
-        let mut ws = HnfWorkspace::new();
-        let mut local_hits: Vec<(usize, SpaceOptimalMapping)> = Vec::new();
-        'claims: loop {
-            let base = level.cursor.fetch_add(SHARD_BATCH, Ordering::Relaxed);
-            if base >= level.candidates.len() {
-                break;
-            }
-            let end = (base + SHARD_BATCH).min(level.candidates.len());
-            for idx in base..end {
-                let rows = &level.candidates[idx];
-                wtel.enumerated += 1;
-                match self.tie_break {
-                    TieBreak::FirstFound => {
-                        if (idx as u64) > level.best_first.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                    }
-                    TieBreak::LexMax => {
-                        // A lex-greater acceptance exists: cannot win.
-                        if (idx as u64 + 1) < level.best_lex.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                    }
-                }
-                let refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
-                match self.screen(level.cost, &refs, &mut wtel, prefix, &mut ws) {
-                    Ok(Some(r)) => {
-                        wtel.accepted += 1;
-                        match self.tie_break {
-                            TieBreak::FirstFound => {
-                                level.best_first.fetch_min(idx as u64, Ordering::Relaxed);
-                                local_hits.push((idx, r));
-                                break 'claims;
-                            }
-                            TieBreak::LexMax => {
-                                level.best_lex.fetch_max(idx as u64 + 1, Ordering::Relaxed);
-                                local_hits.push((idx, r));
-                            }
-                        }
-                    }
-                    Ok(None) => {}
-                    Err(e) => {
-                        *level.error.lock().unwrap() = Some(e);
-                        break 'claims;
-                    }
-                }
-            }
-        }
-        level.hits.lock().unwrap().extend(local_hits);
-        level.tel.lock().unwrap().merge(&wtel);
-    }
-
     /// Screen a single candidate; `Some` when it is acceptable. The
     /// Hermite form completes the pre-eliminated `Π` prefix with the
     /// candidate's `S` rows when the exact condition is active (rank and
@@ -634,16 +428,26 @@ pub(crate) fn vlsi_cost(alg: &Uda, space: &SpaceMap) -> Result<(i64, usize, i64)
     Ok((cost, sites as usize, wires))
 }
 
-pub(crate) fn collect_rows(row: &mut Vec<i64>, idx: usize, bound: i64, f: &mut impl FnMut(&[i64])) {
-    if idx == row.len() {
-        f(row);
-        return;
+/// The canonical row pool of the space-map searches: every nonzero row
+/// with entries in `[−bound, bound]` whose first nonzero entry is
+/// positive (negating a row of `S` only relabels processors), in
+/// lex-ascending order.
+pub(crate) fn canonical_rows(n: usize, bound: i64) -> Vec<Vec<i64>> {
+    fn rec(row: &mut Vec<i64>, idx: usize, bound: i64, out: &mut Vec<Vec<i64>>) {
+        if idx == row.len() {
+            if row.iter().find(|&&x| x != 0).is_some_and(|&x| x > 0) {
+                out.push(row.clone());
+            }
+            return;
+        }
+        for v in -bound..=bound {
+            row[idx] = v;
+            rec(row, idx + 1, bound, out);
+        }
     }
-    for v in -bound..=bound {
-        row[idx] = v;
-        collect_rows(row, idx + 1, bound, f);
-    }
-    row[idx] = 0;
+    let mut out = Vec::new();
+    rec(&mut vec![0; n], 0, bound, &mut out);
+    out
 }
 
 /// Flip a row to canonical sign (first nonzero entry positive) — the
@@ -872,17 +676,6 @@ mod tests {
             let quot = quot_out.clone().expect_optimal("quot");
             assert_eq!(quot.space, base.space);
             assert_eq!(quot.cost, base.cost);
-            for threads in [2usize, 4] {
-                let par = SpaceSearch::new(&alg, &pi)
-                    .tie_break(TieBreak::LexMax)
-                    .symmetry(SymmetryMode::Quotient)
-                    .solve_parallel(threads)
-                    .unwrap()
-                    .expect_optimal("par");
-                assert_eq!(par.space, quot.space);
-                assert_eq!(par.cost, quot.cost);
-                assert_eq!(par.candidates_examined, quot.candidates_examined);
-            }
         }
     }
 }

@@ -1,11 +1,11 @@
 //! Differential guarantees behind the symmetry quotient (ISSUE 8): on
 //! every n ≤ 4 catalogue problem, `SymmetryMode::Quotient` under the
 //! `TieBreak::LexMax` pin returns a bit-identical `OptimalMapping`
-//! (schedule, objective, certification) to full enumeration, and the
-//! sharded parallel path is bit-identical to both. The quotient's
-//! soundness rests on orbit expansion — every skipped candidate is a
-//! non-representative of an orbit whose representative is screened — so
-//! the orbit structure itself is property-tested here too.
+//! (schedule, objective, certification) to full enumeration. The
+//! quotient's soundness rests on orbit expansion — every skipped
+//! candidate is a non-representative of an orbit whose representative
+//! is screened — so the orbit structure itself is property-tested here
+//! too.
 
 use cfmap_core::{
     stabilizer, HybridPolicy, Procedure51, SearchBudget, SolveRoute, SpaceMap, SymmetryMode,
@@ -39,8 +39,7 @@ fn catalogue() -> Vec<(Uda, SpaceMap, &'static str)> {
 }
 
 /// Tentpole acceptance: quotiented enumeration is bit-identical to full
-/// enumeration under LexMax on every n ≤ 4 catalogue problem, and the
-/// sharded parallel solver is bit-identical to both.
+/// enumeration under LexMax on every n ≤ 4 catalogue problem.
 #[test]
 fn quotient_is_bit_identical_to_full_enumeration_on_catalogue() {
     for (alg, space, name) in catalogue() {
@@ -66,26 +65,6 @@ fn quotient_is_bit_identical_to_full_enumeration_on_catalogue() {
             }
             (None, None) => {}
             _ => panic!("{name}: mapping presence diverged"),
-        }
-        for threads in [2usize, 4] {
-            let par = Procedure51::new(&alg, &space)
-                .tie_break(TieBreak::LexMax)
-                .symmetry(SymmetryMode::Quotient)
-                .solve_parallel(threads)
-                .unwrap();
-            assert_eq!(par.certification, quot.certification, "{name} t={threads}");
-            assert_eq!(
-                par.candidates_examined, quot.candidates_examined,
-                "{name} t={threads}"
-            );
-            match (&quot.mapping, &par.mapping) {
-                (Some(q), Some(p)) => {
-                    assert_eq!(p.objective, q.objective, "{name} t={threads}");
-                    assert_eq!(p.schedule.as_slice(), q.schedule.as_slice(), "{name} t={threads}");
-                }
-                (None, None) => {}
-                _ => panic!("{name} t={threads}: mapping presence diverged"),
-            }
         }
     }
 }
@@ -189,8 +168,7 @@ cfmap_testkit::props! {
 
     /// Randomized differential: quotient ≡ full on generated 3-D
     /// problems (mostly trivial stabilizers, some symmetric — both
-    /// paths must agree either way), mirroring the `parallel_props`
-    /// corpus.
+    /// paths must agree either way).
     fn quotient_matches_full_on_generated_problems(
         mu in gen::vec(2i64..=3, 3),
         extra in gen::vec(-2i64..=2, 6),

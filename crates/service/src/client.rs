@@ -2,12 +2,12 @@
 //!
 //! Enough HTTP/1.1 to talk to the server in this crate (and to anything
 //! that answers `Connection: close` responses with a `Content-Length` or
-//! EOF-delimited body). Used by the `cfmap client` subcommand, the smoke
-//! tests, and the throughput bench — all of which must stay hermetic.
+//! EOF-delimited body). Used by the `cfmap client` subcommand and the
+//! smoke tests — both of which must stay hermetic.
 //!
 //! Connection reuse: a [`Client`] keeps one `Connection: keep-alive`
-//! socket warm between requests (E12 measured the 5.4× http-vs-engine
-//! gap as almost entirely connection setup). The server frames every
+//! socket warm between requests (connection setup was almost all of a
+//! measured 5.4× http-vs-engine gap). The server frames every
 //! keep-alive response with an exact `Content-Length`, so reuse is
 //! byte-safe; a stale pooled socket (the server retires connections
 //! after a bounded request count and a short idle window) falls back to

@@ -1038,6 +1038,13 @@ const MAX_ABS_ENTRY: i64 = 1 << 40;
 /// lever, not a capability. The paper's workloads top out at `n = 5`.
 const MAX_DIMS: usize = 8;
 
+/// Largest `/pareto` space-row box `(2·entry_bound + 1)ⁿ` accepted over
+/// the wire. The joint and fixed-schedule scopes build every row of that
+/// box before screening one, so an unbounded `entry_bound` ends in an
+/// allocation failure that aborts the process. The bound still admits
+/// the default entry bound 2 at `MAX_DIMS` (5⁸ = 390,625 rows).
+const MAX_PARETO_ROW_BOX: u64 = 1 << 20;
+
 fn check_magnitude(entries: &[i64], what: &str) -> Result<(), String> {
     match entries.iter().find(|v| v.unsigned_abs() > MAX_ABS_ENTRY as u64) {
         Some(v) => Err(format!("{what} entry {v} exceeds the magnitude bound 2^40")),
@@ -1166,6 +1173,17 @@ fn build_pareto_problem(
         return Err("\"cap\" must be ≥ 1".into());
     }
     let alg = build_algorithm(req.algorithm.as_deref(), &req.mu, req.deps.as_deref())?;
+    if let Some(b) = req.entry_bound {
+        let n = alg.dim();
+        let row_box = u64::try_from(b)
+            .ok()
+            .and_then(|b| b.checked_mul(2)?.checked_add(1)?.checked_pow(u32::try_from(n).ok()?));
+        if row_box.is_none_or(|rows| rows > MAX_PARETO_ROW_BOX) {
+            return Err(format!(
+                "\"entry_bound\" {b} spans (2·{b} + 1)^{n} space rows, more than 2^20"
+            ));
+        }
+    }
     let space = req.space.as_ref().map(|rows| build_space(&alg, rows)).transpose()?;
     let schedule = match &req.schedule {
         None => None,
@@ -1677,6 +1695,10 @@ mod tests {
                 schedule: Some(vec![1, 4]),
                 ..ParetoRequest::named("matmul", 4)
             },
+            // Joint-scope row boxes past 2^20: 103³, and one whose
+            // (2·b + 1)³ overflows u64.
+            ParetoRequest { entry_bound: Some(51), ..ParetoRequest::named("matmul", 4) },
+            ParetoRequest { entry_bound: Some(i64::MAX), ..ParetoRequest::named("matmul", 4) },
         ];
         for req in cases {
             let resp = engine.pareto(&req);
@@ -1685,6 +1707,27 @@ mod tests {
                 "expected bad_request for {req:?}, got {resp:?}"
             );
         }
+    }
+
+    #[test]
+    fn pareto_entry_bound_admits_row_boxes_up_to_two_to_the_twenty() {
+        // Structural requests with identity dependences, n = 3 and n = 8.
+        let admitted = |n: usize, b: i64| {
+            let req = ParetoRequest {
+                algorithm: None,
+                mu: vec![2; n],
+                deps: Some((0..n).map(|i| (0..n).map(|j| i64::from(i == j)).collect()).collect()),
+                entry_bound: Some(b),
+                ..ParetoRequest::named("matmul", 1)
+            };
+            build_pareto_problem(&req).is_ok()
+        };
+        // n = 3: 101³ = 1,030,301 fits, 103³ does not.
+        assert!(admitted(3, 50));
+        assert!(!admitted(3, 51));
+        // n = MAX_DIMS: the default bound 2 (5⁸) fits, 3 (7⁸) does not.
+        assert!(admitted(MAX_DIMS, 2));
+        assert!(!admitted(MAX_DIMS, 3));
     }
 
     #[test]

@@ -994,7 +994,7 @@ mod tests {
             CfmapError::BudgetExhausted { limit: BudgetLimit::Cancelled, candidates_examined: 9 },
             CfmapError::DimensionMismatch { context: "S vs Π".into(), expected: 3, actual: 2 },
             CfmapError::Unsupported { reason: "3-row S".into() },
-            CfmapError::Internal { context: "solve_parallel worker panicked".into() },
+            CfmapError::Internal { context: "pareto frontier verification".into() },
             CfmapError::SnapshotMismatch {
                 field: "digest".into(),
                 expected: "00112233aabbccdd".into(),

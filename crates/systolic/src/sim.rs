@@ -139,75 +139,6 @@ impl<'a> Simulator<'a> {
         Ok(self.finish(schedule, tmin, tmax, computations))
     }
 
-    /// Run the placement phase on `threads` worker threads (`std::thread`
-    /// scoped threads, partitioned along the outermost loop axis), then
-    /// merge. Produces a report identical to [`Self::run`] up to the
-    /// ordering of points within a (processor, time) cell.
-    pub fn run_parallel(&self, threads: usize) -> Result<SimReport, CfmapError> {
-        if threads == 0 {
-            return Err(CfmapError::Unsupported {
-                reason: "parallel simulation needs at least one worker thread".into(),
-            });
-        }
-        self.check_dims()?;
-        let mu = self.alg.index_set.mu();
-        if mu.is_empty() || threads == 1 {
-            return self.run();
-        }
-        let outer = mu[0];
-        let inner = cfmap_model::IndexSet::new(&mu[1..]);
-        let outer_values: Vec<i64> = (0..=outer).collect();
-        let chunk = outer_values.len().div_ceil(threads).max(1);
-
-        type Partial = (HashMap<i64, HashMap<Vec<i64>, Vec<Point>>>, i64, i64, u64);
-        let partials: Vec<Partial> = std::thread::scope(|scope| {
-            let handles: Vec<_> = outer_values
-                .chunks(chunk)
-                .map(|slice| {
-                    let inner = &inner;
-                    scope.spawn(move || {
-                        let mut schedule: HashMap<i64, HashMap<Vec<i64>, Vec<Point>>> =
-                            HashMap::new();
-                        let mut tmin = i64::MAX;
-                        let mut tmax = i64::MIN;
-                        let mut count = 0u64;
-                        for &j0 in slice {
-                            for rest in inner.iter() {
-                                let mut j = Vec::with_capacity(rest.len() + 1);
-                                j.push(j0);
-                                j.extend_from_slice(&rest);
-                                let (p, t) = self.mapping.apply(&j);
-                                tmin = tmin.min(t);
-                                tmax = tmax.max(t);
-                                count += 1;
-                                schedule.entry(t).or_default().entry(p).or_default().push(j);
-                            }
-                        }
-                        (schedule, tmin, tmax, count)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-        });
-
-        let mut schedule: HashMap<i64, HashMap<Vec<i64>, Vec<Point>>> = HashMap::new();
-        let mut tmin = i64::MAX;
-        let mut tmax = i64::MIN;
-        let mut computations = 0u64;
-        for (part, lo, hi, count) in partials {
-            tmin = tmin.min(lo);
-            tmax = tmax.max(hi);
-            computations += count;
-            for (t, per_proc) in part {
-                let slot = schedule.entry(t).or_default();
-                for (p, mut points) in per_proc {
-                    slot.entry(p).or_default().append(&mut points);
-                }
-            }
-        }
-        Ok(self.finish(schedule, tmin, tmax, computations))
-    }
-
     fn finish(
         &self,
         schedule: HashMap<i64, HashMap<Vec<i64>, Vec<Point>>>,
@@ -342,37 +273,6 @@ mod tests {
         let report = Simulator::new(&alg, &m).with_routing(&routing).run().unwrap();
         assert!(report.is_clean(), "collisions: {:?}", report.link_collisions);
         assert_eq!(report.makespan(), 29);
-    }
-
-    #[test]
-    fn parallel_run_matches_sequential() {
-        let (alg, m) = matmul_setup(4, &[1, 4, 1]);
-        let seq = Simulator::new(&alg, &m).run().unwrap();
-        for threads in [1, 2, 3, 8] {
-            let par = Simulator::new(&alg, &m).run_parallel(threads).unwrap();
-            assert_eq!(par.computations, seq.computations, "threads = {threads}");
-            assert_eq!(par.time_range, seq.time_range);
-            assert_eq!(par.conflicts.len(), seq.conflicts.len());
-            assert_eq!(par.peak_parallelism, seq.peak_parallelism);
-            // Cell contents match as sets.
-            for (t, per_proc) in &seq.schedule {
-                let other = &par.schedule[t];
-                for (p, pts) in per_proc {
-                    let mut a = pts.clone();
-                    let mut b = other[p].clone();
-                    a.sort();
-                    b.sort();
-                    assert_eq!(a, b);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_run_detects_conflicts_too() {
-        let (alg, m) = matmul_setup(4, &[1, 1, 4]);
-        let par = Simulator::new(&alg, &m).run_parallel(4).unwrap();
-        assert!(!par.conflicts.is_empty());
     }
 
     #[test]

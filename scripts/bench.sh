@@ -1,7 +1,7 @@
 #!/usr/bin/env sh
 # Run the experiment harness and record the results as JSON.
 #
-#   scripts/bench.sh              # all experiments -> BENCH_10.json
+#   scripts/bench.sh              # all experiments -> target/experiments.json
 #   scripts/bench.sh E14          # subset, same output file
 #   BENCH_OUT=/tmp/b.json scripts/bench.sh
 #   CFMAP_BENCH_MS=5 scripts/bench.sh E13   # fast smoke budget
@@ -14,11 +14,10 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-# Default output derives from the current PR/issue number so successive
-# trajectories stop overwriting or stranding each other's files; override
-# with BENCH_OUT for scratch runs.
-ISSUE=10
-OUT=${BENCH_OUT:-BENCH_${ISSUE}.json}
+# The default output lives in the (gitignored) build directory; set
+# BENCH_OUT to write the file anywhere else.
+OUT=${BENCH_OUT:-target/experiments.json}
+mkdir -p "$(dirname "$OUT")"
 
 COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 THREADS=$(nproc 2>/dev/null || echo 1)

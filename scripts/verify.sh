@@ -291,7 +291,6 @@ cargo test -q --offline --test service_chaos seeded_fault_plan \
 
 echo "== smoke: timing benches under a 5 ms budget"
 CFMAP_BENCH_MS=5 cargo bench --offline -p cfmap-bench --bench e1_feasibility > /dev/null
-CFMAP_BENCH_MS=5 cargo bench --offline -p cfmap-bench --bench e12_service_throughput > /dev/null
 CFMAP_BENCH_MS=5 cargo bench --offline -p cfmap-bench --bench e13_hot_path > /dev/null
 
 echo "== smoke: bench.sh writes experiment JSON"

@@ -120,14 +120,14 @@ fn deadline_expiry_mid_search_degrades_within_one_candidate() {
 
     let alg = algorithms::matmul(4);
     let s = SpaceMap::row(&[1, 1, -1]);
-    let _clock = clock::TestClock::start_at(1_000);
+    let clock = clock::TestClock::start_at(1_000);
     let screened = AtomicU64::new(0);
     // The 4th candidate screen pushes the clock past the deadline; the
     // meter is checked before each subsequent candidate, so the search
     // must wind down after exactly one more charge.
     let probe = |_: &[i64]| {
         if screened.fetch_add(1, Ordering::Relaxed) + 1 == 4 {
-            clock::advance_test_clock(9_000);
+            clock.advance(9_000);
         }
     };
     let outcome = Procedure51::new(&alg, &s)
@@ -167,11 +167,11 @@ fn deadline_degraded_result_is_deterministic() {
     let alg = algorithms::matmul(4);
     let s = SpaceMap::row(&[1, 1, -1]);
     let solve = || {
-        let _clock = clock::TestClock::start_at(0);
+        let clock = clock::TestClock::start_at(0);
         let screened = AtomicU64::new(0);
         let probe = |_: &[i64]| {
             if screened.fetch_add(1, Ordering::Relaxed) + 1 == 3 {
-                clock::advance_test_clock(1_000_000);
+                clock.advance(1_000_000);
             }
         };
         Procedure51::new(&alg, &s)

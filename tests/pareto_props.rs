@@ -14,8 +14,8 @@
 //!    the cycle-level simulator: zero conflicts, the advertised
 //!    makespan, and (when tracked) exactly the advertised peak link
 //!    load, within the requested budget.
-//! 3. **Determinism** — identical frontiers across thread counts,
-//!    `SymmetryMode::Quotient` on/off, and conflict-memo on/off; and
+//! 3. **Determinism** — identical frontiers across
+//!    `SymmetryMode::Quotient` on/off and conflict-memo on/off; and
 //!    the classic-search corners: the time corner is bit-identical to
 //!    `Procedure51` under `TieBreak::LexMax`, the space corner to
 //!    `SpaceSearch` under `TieBreak::LexMax`, across the word-level
@@ -572,43 +572,10 @@ fn quotient_matches_full_on_catalogue() {
     }
 }
 
-/// Sharded solving replays the sequential fold verbatim — frontier and
-/// counters identical for any thread count, with and without the
-/// quotient, in both row-enumerating scopes.
-#[test]
-fn sharded_solve_is_bit_identical_on_catalogue() {
-    for (alg, cap, name) in joint_catalogue() {
-        let seq = ParetoSearch::new(&alg).max_objective(cap).solve().unwrap();
-        let par = ParetoSearch::new(&alg).max_objective(cap).solve_parallel(3).unwrap();
-        assert_frontier_eq(&seq, &par, true, &format!("{name} joint t=3"));
-        let qseq = ParetoSearch::new(&alg)
-            .max_objective(cap)
-            .symmetry(SymmetryMode::Quotient)
-            .solve()
-            .unwrap();
-        for threads in [2usize, 4] {
-            let qpar = ParetoSearch::new(&alg)
-                .max_objective(cap)
-                .symmetry(SymmetryMode::Quotient)
-                .solve_parallel(threads)
-                .unwrap();
-            assert_frontier_eq(&qseq, &qpar, true, &format!("{name} quotient t={threads}"));
-        }
-    }
-    let alg = algorithms::matmul(4);
-    let pi = LinearSchedule::new(&[1, 4, 1]);
-    let seq = ParetoSearch::new(&alg).fixed_schedule(&pi).solve().unwrap();
-    for threads in [2usize, 4] {
-        let par =
-            ParetoSearch::new(&alg).fixed_schedule(&pi).solve_parallel(threads).unwrap();
-        assert_frontier_eq(&seq, &par, true, &format!("matmul μ=4 fixed Π t={threads}"));
-    }
-}
-
 /// With bandwidth tracked the quotient must deactivate (time-reversing
 /// stabilizer elements need not preserve per-slot contention), so
 /// quotient-on is bit-identical to quotient-off *including counters*;
-/// the memo and the shards stay exact as well.
+/// the memo stays exact as well.
 #[test]
 fn bandwidth_frontier_is_invariant_across_every_fast_route() {
     let alg = algorithms::matmul(2);
@@ -626,23 +593,14 @@ fn bandwidth_frontier_is_invariant_across_every_fast_route() {
     assert_frontier_eq(&full, &quot, true, "bw quotient is a no-op");
     let off = base(ParetoSearch::new(&alg).max_objective(cap).memo(false));
     assert_frontier_eq(&full, &off, true, "bw memo on/off");
-    for threads in [2usize, 3] {
-        let par = ParetoSearch::new(&alg)
-            .max_objective(cap)
-            .resources(ResourceModel { include_bandwidth: true, ..Default::default() })
-            .bandwidth_probe(&probe)
-            .solve_parallel(threads)
-            .unwrap();
-        assert_frontier_eq(&full, &par, true, &format!("bw t={threads}"));
-    }
 }
 
 cfmap_testkit::props! {
     cases = 8;
 
     /// Randomized differential mirroring `space_joint_props`: on
-    /// generated 3-D problems every fast route (memo, quotient, shards)
-    /// agrees with the plain sequential frontier in both scopes.
+    /// generated 3-D problems every fast route (memo, quotient) agrees
+    /// with the plain frontier in both scopes.
     fn pareto_fast_routes_match_on_generated_problems(
         mu in gen::vec(2i64..=3, 3),
         extra in gen::vec(-2i64..=2, 6),
@@ -668,12 +626,6 @@ cfmap_testkit::props! {
             .solve()
             .unwrap();
         assert_frontier_eq(&seq, &quot, false, "generated fixed-Π quotient");
-        let par = ParetoSearch::new(&alg)
-            .fixed_schedule(&pi)
-            .symmetry(SymmetryMode::Quotient)
-            .solve_parallel(3)
-            .unwrap();
-        assert_frontier_eq(&quot, &par, true, "generated fixed-Π parallel");
 
         let jseq = ParetoSearch::new(&alg).max_objective(12).solve().unwrap();
         let joff = ParetoSearch::new(&alg).max_objective(12).memo(false).solve().unwrap();
@@ -684,11 +636,5 @@ cfmap_testkit::props! {
             .solve()
             .unwrap();
         assert_frontier_eq(&jseq, &jquot, false, "generated joint quotient");
-        let jpar = ParetoSearch::new(&alg)
-            .max_objective(12)
-            .symmetry(SymmetryMode::Quotient)
-            .solve_parallel(3)
-            .unwrap();
-        assert_frontier_eq(&jquot, &jpar, true, "generated joint parallel");
     }
 }

@@ -17,8 +17,8 @@ fn matmul_mu_12_full_stack() {
     let gamma = analysis.unique_conflict_vector().unwrap();
     assert_eq!(gamma.to_i64s().unwrap(), vec![mu + 1, -2, mu - 1]);
 
-    // Simulation (parallel placement) agrees with the formula.
-    let report = Simulator::new(&alg, &mapping).run_parallel(4).unwrap();
+    // Simulation agrees with the formula.
+    let report = Simulator::new(&alg, &mapping).run().unwrap();
     assert!(report.conflicts.is_empty());
     assert_eq!(report.makespan(), mu * (mu + 2) + 1);
     assert_eq!(report.computations, 13u64.pow(3));
