@@ -66,8 +66,6 @@ impl ExperimentReport {
             }
         }
         self.telemetry.push(("orbits_pruned".into(), tel.orbits_pruned));
-        self.telemetry.push(("memo_hits".into(), tel.memo_hits));
-        self.telemetry.push(("memo_misses".into(), tel.memo_misses));
         self
     }
     /// Render as a JSON object (hand-rolled emitter — the workspace's
@@ -790,10 +788,9 @@ pub fn e15_quotient_and_hybrid() -> ExperimentReport {
     report.with_telemetry(&tel)
 }
 
-/// E16 — the unified screening core (DESIGN.md §15): the legacy
-/// sequential screen (no conflict memo, full enumeration) vs the fast
-/// route — kernel-lattice conflict memo plus the symmetry quotient under
-/// the `LexMax` pin — on the bit-level Procedure 5.1 rows of E10, the
+/// E16 — the unified screening core (DESIGN.md §15): full enumeration
+/// vs the symmetry quotient under the `LexMax` pin, both screening by
+/// box-kernel tables, on the bit-level Procedure 5.1 rows of E10, the
 /// joint (S, Π) sweeps of E12 and fixed-schedule space searches. Both
 /// routes run the same tie-break, and the experiment *asserts*
 /// bit-identical results (certification, design, objective) before any
@@ -817,18 +814,9 @@ pub fn e16_screening_core() -> ExperimentReport {
     let speed = |base: std::time::Duration, fast: std::time::Duration| {
         format!("{:.1}×", base.as_secs_f64() / fast.as_secs_f64().max(1e-9))
     };
-    let hit_rate = |t: &cfmap_core::SearchTelemetry| {
-        let probes = t.memo_hits + t.memo_misses;
-        if probes == 0 {
-            "—".to_string()
-        } else {
-            format!("{:.0}%", 100.0 * t.memo_hits as f64 / probes as f64)
-        }
-    };
 
     // Part A — fixed-S schedule searches on the 5-D bit-level kernels,
-    // the E10 rows where the exact r ≥ 2 lattice test dominates the
-    // screening cost and distinct Π candidates share kernel lattices.
+    // the E10 rows with r ≥ 2 kernel dimensions.
     let bit_cases: Vec<(&str, cfmap_model::Uda, SpaceMap, i64)> = if smoke {
         vec![
             (
@@ -862,7 +850,7 @@ pub fn e16_screening_core() -> ExperimentReport {
     };
     for (name, alg, space, cap) in &bit_cases {
         let mk = |fast: bool| {
-            let mut p = Procedure51::new(alg, space).tie_break(TieBreak::LexMax).memo(fast);
+            let mut p = Procedure51::new(alg, space).tie_break(TieBreak::LexMax);
             if fast {
                 p = p.symmetry(SymmetryMode::Quotient);
             }
@@ -897,15 +885,13 @@ pub fn e16_screening_core() -> ExperimentReport {
             format!("{t_base:?}"),
             format!("{t_fast:?}"),
             speed(t_base, t_fast),
-            hit_rate(&fast.telemetry),
             s(fast.telemetry.orbits_pruned),
         ]);
         tel.merge(&fast.telemetry);
     }
 
     // Part B — joint (S, Π) sweeps: the quotient thins the outer row
-    // space, the memo answers repeated kernel lattices across the inner
-    // schedule searches.
+    // space.
     let joint_cases: Vec<(&str, cfmap_model::Uda)> = if smoke {
         vec![
             ("joint matmul μ=3", algorithms::matmul(3)),
@@ -923,8 +909,7 @@ pub fn e16_screening_core() -> ExperimentReport {
         let mk = |fast: bool| {
             let j = JointSearch::new(alg)
                 .criterion(JointCriterion::TimeThenSpace)
-                .tie_break(TieBreak::LexMax)
-                .memo(fast);
+                .tie_break(TieBreak::LexMax);
             if fast {
                 j.symmetry(SymmetryMode::Quotient)
             } else {
@@ -955,16 +940,13 @@ pub fn e16_screening_core() -> ExperimentReport {
             format!("{t_base:?}"),
             format!("{t_fast:?}"),
             speed(t_base, t_fast),
-            hit_rate(&fast.telemetry),
             s(fast.telemetry.orbits_pruned),
         ]);
         tel.merge(&fast.telemetry);
     }
 
     // Part C — fixed-schedule space searches (Problem 6.1): `S` varies
-    // under a fixed Π, so there is no per-search box-kernel table and
-    // every exact verdict goes through the kernel-lattice memo. Memo off
-    // vs on, nothing else changed.
+    // under a fixed Π, so the box-kernel table is built from Π.
     let mut space_cases: Vec<(&str, cfmap_model::Uda, Vec<i64>)> =
         vec![("space matmul μ=4, Π=[1,4,1]", algorithms::matmul(4), vec![1, 4, 1])];
     if !smoke {
@@ -973,8 +955,13 @@ pub fn e16_screening_core() -> ExperimentReport {
     }
     for (name, alg, pi) in &space_cases {
         let schedule = LinearSchedule::new(pi);
-        let mk = |memo: bool| {
-            SpaceSearch::new(alg, &schedule).tie_break(TieBreak::LexMax).memo(memo)
+        let mk = |fast: bool| {
+            let search = SpaceSearch::new(alg, &schedule).tie_break(TieBreak::LexMax);
+            if fast {
+                search.symmetry(SymmetryMode::Quotient)
+            } else {
+                search
+            }
         };
         let t0 = Instant::now();
         let base = mk(false).solve().unwrap();
@@ -998,7 +985,6 @@ pub fn e16_screening_core() -> ExperimentReport {
             format!("{t_base:?}"),
             format!("{t_fast:?}"),
             speed(t_base, t_fast),
-            hit_rate(&fast.telemetry),
             s(fast.telemetry.orbits_pruned),
         ]);
         tel.merge(&fast.telemetry);
@@ -1007,23 +993,21 @@ pub fn e16_screening_core() -> ExperimentReport {
     let report = ExperimentReport {
         id: "E16".into(),
         telemetry: Vec::new(),
-        title: "Unified screening core — conflict memo + symmetry quotient vs legacy sequential screen".into(),
+        title: "Unified screening core — symmetry quotient vs full enumeration, box-kernel screening".into(),
         headers: vec![
             "instance".into(),
             "optimum (both routes)".into(),
-            "legacy".into(),
-            "fast route".into(),
+            "full enumeration".into(),
+            "quotient".into(),
             "speedup".into(),
-            "memo hit rate".into(),
             "orbits pruned".into(),
         ],
         rows,
         notes: vec![
-            "Legacy = memo off, full enumeration, sequential. Fast = kernel-lattice conflict memo + symmetry quotient, same LexMax tie-break. The experiment asserts certification, design and objective equality row by row before timing anything.".into(),
-            "Procedure 5.1 (the bit-level rows and the inner searches of the joint rows) decides the rank and conflict gates from its per-search box-kernel table: dot products against every in-box kernel direction of the fixed S, no Hermite form and no memo traffic. Those rows read — for the memo hit rate, and their speedup is the quotient's alone.".into(),
-            "The memo exploits that Exact feasibility depends only on ker_Z(T) over the index box: candidates with equal row span share one verdict. It still serves the space rows (S varies under a fixed Π, so no per-search table exists), fixed-schedule /pareto, and boxes too large to tabulate. Hit rates are per-search; the memo is process-wide, so the service amortizes across requests too.".into(),
+            "Full enumeration screens every candidate; the quotient screens one representative per symmetry orbit, same LexMax tie-break. The experiment asserts certification, design and objective equality row by row before timing anything.".into(),
+            "Every row decides the rank and conflict gates by dot products against a box-kernel table built once per search from the fixed side of T = [S; Π]: the space map S for Procedure 5.1 (the bit-level rows and the inner searches of the joint rows), the schedule Π for the space rows. No row computes a Hermite form or runs an exact lattice search, so the speedup is the quotient's alone.".into(),
             "Every search runs on its caller's thread, so timings here are single-threaded and speedups are purely algorithmic.".into(),
-            "Both columns use the allocation-free i64 condition-1 gate. Against the pre-§15 screen (bignum condition-1 gate, measured 1.10 s and 3.49 s on the two bit-level rows), the memo + quotient route measured 15.7× and 10.6× when it was introduced, before the box-kernel table.".into(),
+            "Both columns use the allocation-free i64 condition-1 gate. Against the pre-§15 screen (bignum condition-1 gate, measured 1.10 s and 3.49 s on the two bit-level rows), the quotient plus the since-retired kernel-lattice verdict cache measured 15.7× and 10.6× when they were introduced, before the box-kernel table.".into(),
         ],
     };
     report.with_telemetry(&tel)
@@ -1190,7 +1174,7 @@ pub fn e17_pareto_frontiers() -> ExperimentReport {
         ],
         rows,
         notes: vec![
-            "One witness survives per distinct objective vector (the lex-greatest (S, Π) achieving it), so the frontier is a pure function of the problem — `tests/pareto_props.rs` proves equality with a brute-force oracle on exhaustively-enumerable problems and bit-identity across the symmetry quotient and the conflict memo.".into(),
+            "One witness survives per distinct objective vector (the lex-greatest (S, Π) achieving it), so the frontier is a pure function of the problem — `tests/pareto_props.rs` proves equality with a brute-force oracle on exhaustively-enumerable problems and bit-identity across the symmetry quotient.".into(),
             "The fixed-space and fixed-schedule corners are asserted equal to Procedure 5.1 / the space search under `TieBreak::LexMax` before the row is reported.".into(),
             "The bandwidth axis is fed by `cfmap_systolic::peak_link_load` — mesh-routed, all channels aggregated per directed link; designs with Π·d̄ < ‖S·d̄‖₁ are unroutable and leave the candidate space. Tracking bandwidth disables the early-stop and the symmetry quotient, so the 4-axis rows screen the full horizon.".into(),
             "A per-link budget (`max_bandwidth`) is a hard feasibility filter: the ≤1 row keeps exactly the designs a single-word-per-cycle mesh can carry.".into(),

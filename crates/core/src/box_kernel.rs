@@ -1,30 +1,32 @@
 //! The box-kernel table: Theorem 2.2 as a fixed list of linear
-//! disequalities once the space map is fixed.
+//! disequalities once either row block of `T = [S; Π]` is fixed.
 //!
-//! `T = [S; Π]` conflicts iff some nonzero `γ` with `|γ_i| ≤ μ_i` has
-//! `Tγ = 0`, that is `Sγ = 0` and `Π·γ = 0`. During a Procedure 5.1
-//! search `S` and the index box never change, so the first half of that
-//! condition is a property of the search, not of the candidate: the set
-//! `K = {γ ≠ 0 : Sγ = 0, |γ_i| ≤ μ_i}` is listed once, up to sign and
-//! scaling (primitive, first nonzero entry positive). A candidate with
-//! `rank(T) = k` is then conflict-free iff `Π·γ ≠ 0` for every tabled
-//! `γ` — once `rank(T) = k`, the table holds exactly
+//! `T` conflicts iff some nonzero `γ` with `|γ_i| ≤ μ_i` has `Tγ = 0`,
+//! that is `Sγ = 0` and `Π·γ = 0`. When one block `F` — the space map
+//! `S` of a Procedure 5.1 search, or the schedule row `Π` of a
+//! `SpaceSearch` or fixed-schedule `ParetoSearch` — and the index box
+//! never change, half of that condition is a property of the search,
+//! not of the candidate: the set `K = {γ ≠ 0 : Fγ = 0, |γ_i| ≤ μ_i}` is
+//! listed once, up to sign and scaling (primitive, first nonzero entry
+//! positive). A candidate block `R` with `rank([F; R]) = k` is then
+//! conflict-free iff every tabled `γ` has `r·γ ≠ 0` for some row `r` of
+//! `R` — once `rank(T) = k`, the table holds exactly
 //! `ker_Z(T) ∩ box \ {0}` of every candidate, up to sign and scaling.
 //!
-//! The rank gate (condition 4) needs only an integer basis of `ker(S)`:
-//! `rank(T) = k` iff `rank(S) = k − 1` and `Π` leaves the row space of
-//! `S`, i.e. `Π·v ≠ 0` for some basis vector `v`.
+//! The rank gate (condition 4) needs only an integer basis `B` of
+//! `ker(F)`: `rank([F; R]) = rank(F) + rank(R·B)`, so `rank(T) = k` iff
+//! `rank(F) = rows(F)` and `rank(R·B) = rows(R)`.
 //!
-//! Both gates are i64/i128 dot products against data built once per
-//! search, replacing a per-candidate Hermite completion, memo key and
-//! lookup, and (on a memo miss) an LLL-reduced bignum β-box search.
+//! Both gates are dot products against data built once per search,
+//! replacing a per-candidate Hermite completion and (for the exact
+//! test) an LLL-reduced bignum β-box search.
 //!
-//! The build walks an odometer over the free coordinates of `S`'s
+//! The build walks an odometer over the free coordinates of `F`'s
 //! integer reduced row echelon form and solves for the pivot
 //! coordinates, so it visits `∏_{j free} (2μ_j + 1)` points. Boxes above
 //! [`BUILD_POINTS_MAX`] are not tabulated: [`BoxKernelTable::build`]
-//! returns `None` and the search keeps the HNF + memo route, which is the
-//! only route for boxes too large to list.
+//! returns `None` and the search takes the HNF route, the only route for
+//! boxes too large to list.
 
 use cfmap_intlin::IMat;
 
@@ -32,45 +34,45 @@ use cfmap_intlin::IMat;
 /// point is a kernel point (the pivot coordinates are solved, not
 /// searched), so each costs a pivot solve and a content check — about
 /// 26 ns on a 2-core x86-64 host, keeping the largest build near 0.4 ms.
-/// Matmul with `S = [1, 1, −1]` is tabulated up to μ = 63
-/// (`127² = 16,129` points).
+/// Matmul with `S = [1, 1, −1]`, or with `Π = [1, μ, 1]`, is tabulated
+/// up to μ = 63 (`127² = 16,129` points).
 pub(crate) const BUILD_POINTS_MAX: u64 = 1 << 14;
 
-/// The per-search box-kernel table of a fixed space map over a fixed
+/// The per-search box-kernel table of a fixed row block `F` over a fixed
 /// index box (see the module docs).
 #[derive(Debug)]
 pub(crate) struct BoxKernelTable {
     n: usize,
-    /// An integer basis of `ker(S)`, row-major, `n` entries per vector —
-    /// empty when `rank(S) < rows(S)`, since then `rank(T) < k` for every
-    /// `Π` and the rank gate must reject them all. Entries are bounded by
-    /// `i32::MAX`, so `Π·v` in i128 is exact for every i64 candidate.
+    /// An integer basis of `ker(F)`, row-major, `n` entries per vector —
+    /// empty when `rank(F) < rows(F)`, since then `rank(T) < k` for every
+    /// candidate and the rank gate must reject them all. Entries are
+    /// bounded by `i32::MAX`, so `r·v` in i128 is exact for every i64 row.
     basis: Vec<i64>,
     /// Every primitive `γ` with first nonzero entry positive,
-    /// `|γ_i| ≤ μ_i` and `Sγ = 0`, row-major, shortest (L1) first so that
+    /// `|γ_i| ≤ μ_i` and `Fγ = 0`, row-major, shortest (L1) first so that
     /// conflicting candidates tend to exit early.
     gammas: Vec<i64>,
 }
 
 impl BoxKernelTable {
-    /// Tabulate `S` (`space`) over the box `|γ_i| ≤ μ_i`. `None` when
-    /// the box has more than [`BUILD_POINTS_MAX`] free-coordinate points,
-    /// when `S` or its kernel basis does not fit machine integers, or for
-    /// a zero-dimensional problem.
-    pub(crate) fn build(space: &IMat, mu: &[i64]) -> Option<BoxKernelTable> {
-        let n = space.ncols();
-        debug_assert_eq!(n, mu.len(), "space map / box dimension mismatch");
+    /// Tabulate the fixed block `fixed` over the box `|γ_i| ≤ μ_i`. `None`
+    /// when the box has more than [`BUILD_POINTS_MAX`] free-coordinate
+    /// points, when `F` or its kernel basis does not fit machine
+    /// integers, or for a zero-dimensional problem.
+    pub(crate) fn build(fixed: &IMat, mu: &[i64]) -> Option<BoxKernelTable> {
+        let n = fixed.ncols();
+        debug_assert_eq!(n, mu.len(), "fixed block / box dimension mismatch");
         if n == 0 {
             return None;
         }
-        let rows: Vec<Vec<i128>> = space
+        let rows: Vec<Vec<i128>> = fixed
             .to_i64_rows()?
             .into_iter()
             .map(|r| r.into_iter().map(i128::from).collect())
             .collect();
-        let s_rows = rows.len();
+        let f_rows = rows.len();
         let (pivots, echelon) = integer_rref(rows, n)?;
-        if pivots.len() < s_rows {
+        if pivots.len() < f_rows {
             return Some(BoxKernelTable { n, basis: Vec::new(), gammas: Vec::new() });
         }
         let free: Vec<usize> = (0..n).filter(|c| !pivots.contains(c)).collect();
@@ -86,7 +88,8 @@ impl BoxKernelTable {
         Some(BoxKernelTable { n, basis, gammas })
     }
 
-    /// Condition 4: `rank([S; Π]) = rows(S) + 1`.
+    /// Condition 4 for one candidate row `Π` under a fixed `S`:
+    /// `rank([S; Π]) = rows(S) + 1`.
     pub(crate) fn full_rank(&self, pi: &[i64]) -> bool {
         self.basis.chunks_exact(self.n).any(|v| {
             v.iter().zip(pi).map(|(&a, &b)| i128::from(a) * i128::from(b)).sum::<i128>() != 0
@@ -103,6 +106,38 @@ impl BoxKernelTable {
             .all(|g| g.iter().zip(pi).map(|(&a, &b)| a * b).sum::<i64>() != 0)
     }
 
+    /// Condition 4 for a candidate block `R` of any number of rows:
+    /// `rank([F; R]) = rows(F) + rows(R)`, decided as
+    /// `rank(R·B) = rows(R)`. `None` when the elimination of `R·B`
+    /// leaves i128.
+    pub(crate) fn full_rank_rows(&self, rows: &[&[i64]]) -> Option<bool> {
+        let rb: Vec<Vec<i128>> = rows
+            .iter()
+            .map(|r| self.basis.chunks_exact(self.n).map(|v| checked_dot(r, v)).collect())
+            .collect::<Option<_>>()?;
+        let (pivots, _) = integer_rref(rb, self.basis.len() / self.n)?;
+        Some(pivots.len() == rows.len())
+    }
+
+    /// Condition 3 for a candidate block `R` that passed
+    /// [`Self::full_rank_rows`]: every tabled `γ` has `r·γ ≠ 0` for some
+    /// row `r` of `R`. `None` when a dot product leaves i128.
+    pub(crate) fn conflict_free_rows(&self, rows: &[&[i64]]) -> Option<bool> {
+        for g in self.gammas.chunks_exact(self.n) {
+            let mut separated = false;
+            for r in rows {
+                if checked_dot(r, g)? != 0 {
+                    separated = true;
+                    break;
+                }
+            }
+            if !separated {
+                return Some(false);
+            }
+        }
+        Some(true)
+    }
+
     /// Number of tabled conflict directions.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
@@ -110,10 +145,16 @@ impl BoxKernelTable {
     }
 }
 
+/// `a·b` in i128 for any i64 entries: each product is below 2¹²⁶, and
+/// the sum is checked.
+fn checked_dot(a: &[i64], b: &[i64]) -> Option<i128> {
+    a.iter().zip(b).try_fold(0i128, |acc, (&x, &y)| acc.checked_add(i128::from(x) * i128::from(y)))
+}
+
 /// Integer reduced row echelon form over checked i128: returns the pivot
 /// columns and one row per pivot, where row `r` has a positive entry at
 /// `pivots[r]`, zeros in every other pivot column, and content 1. Zero
-/// rows are dropped, so `pivots.len() = rank(S)`. `None` on overflow.
+/// rows are dropped, so `pivots.len()` is the rank. `None` on overflow.
 fn integer_rref(mut rows: Vec<Vec<i128>>, n: usize) -> Option<(Vec<usize>, Vec<Vec<i128>>)> {
     let mut pivots = Vec::new();
     for c in 0..n {
@@ -123,7 +164,9 @@ fn integer_rref(mut rows: Vec<Vec<i128>>, n: usize) -> Option<(Vec<usize>, Vec<V
         };
         rows.swap(r, p);
         if rows[r][c] < 0 {
-            rows[r].iter_mut().for_each(|x| *x = -*x);
+            for x in rows[r].iter_mut() {
+                *x = x.checked_neg()?;
+            }
         }
         remove_content(&mut rows[r]);
         let pivot_row = rows[r].clone();
@@ -290,7 +333,9 @@ fn gcd_i128(a: i128, b: i128) -> i128 {
     while b != 0 {
         (a, b) = (b, a % b);
     }
-    // Entries come from checked i64 arithmetic, far below i128::MAX.
+    // Only 2¹²⁷ (every entry 0 or i128::MIN) wraps, to a negative value
+    // that `remove_content` ignores; a positive pivot bounds every other
+    // gcd taken.
     a as i128
 }
 
@@ -307,7 +352,9 @@ mod tests {
     use super::*;
     use crate::conflict::ConflictAnalysis;
     use crate::mapping::{MappingMatrix, SpaceMap};
-    use crate::search::{enumerate_weighted, Procedure51};
+    use crate::search::{enumerate_weighted, Procedure51, TieBreak};
+    use crate::space_search::canonical_rows;
+    use crate::SpaceSearch;
     use cfmap_model::{algorithms, LinearSchedule, Uda, UdaBuilder};
     use cfmap_testkit::gen;
 
@@ -418,6 +465,115 @@ mod tests {
             let alg = UdaBuilder::new("generated").bounds(&mu).deps(&deps).build();
             let last = optimum_or(&alg, &space, 12);
             check_against_hnf_route(&alg, &space, last, 1_500);
+        }
+    }
+
+    /// The schedule side: under the fixed `pi`, every row of the
+    /// `SpaceSearch` pool with entries in `[−bound, bound]` and, up to
+    /// `pairs_max` of them spread evenly over the pool, its 2-row pairs
+    /// (rank-deficient pairs included) must get the HNF route's
+    /// verdicts: `full_rank_rows` is `rank() == k` and, past the rank
+    /// gate, `conflict_free_rows` is `is_conflict_free_exact()`. Returns
+    /// the number compared.
+    fn check_rows_against_hnf_route(alg: &Uda, pi: &[i64], bound: i64, pairs_max: u64) -> u64 {
+        let mu = alg.index_set.mu();
+        let table = BoxKernelTable::build(&IMat::from_rows(&[pi]), mu).expect("box within the cap");
+        let pool = canonical_rows(alg.dim(), bound);
+        let mut candidates: Vec<Vec<&[i64]>> = pool.iter().map(|r| vec![r.as_slice()]).collect();
+        let pairs = (pool.len() * pool.len().saturating_sub(1) / 2) as u64;
+        let stride = pairs.div_ceil(pairs_max.max(1)).max(1);
+        let mut index = 0u64;
+        for (a, r1) in pool.iter().enumerate() {
+            for r2 in &pool[a + 1..] {
+                if index.is_multiple_of(stride) {
+                    candidates.push(vec![r1.as_slice(), r2.as_slice()]);
+                }
+                index += 1;
+            }
+        }
+        for rows in &candidates {
+            let t = MappingMatrix::new(SpaceMap::from_rows(rows), LinearSchedule::new(pi));
+            let analysis = ConflictAnalysis::new(&t, &alg.index_set);
+            let rank_ok = analysis.rank() == t.k();
+            let ctx = format!("{}: Π = {pi:?}, S = {rows:?}", alg.name);
+            assert_eq!(table.full_rank_rows(rows), Some(rank_ok), "rank verdict, {ctx}");
+            if rank_ok {
+                let exact = analysis.is_conflict_free_exact();
+                assert_eq!(table.conflict_free_rows(rows), Some(exact), "conflict verdict, {ctx}");
+            }
+        }
+        candidates.len() as u64
+    }
+
+    #[test]
+    fn schedule_side_catalogue_verdicts_match_the_hnf_route() {
+        let valid = |alg: &Uda| crate::find_valid_schedule(alg).expect("schedulable");
+        let mut cases: Vec<(Uda, Vec<i64>)> = vec![
+            (algorithms::matmul(4), vec![1, 4, 1]),
+            (algorithms::matmul(4), vec![1, 1, -3]), // invalid: Π·e₃ < 0
+            (algorithms::matmul(4), vec![0, 0, 0]),  // zero: every rank gate fails
+            (algorithms::transitive_closure(4), vec![5, 1, 1]),
+            (algorithms::convolution(5, 3), vec![1, 1]),
+            (algorithms::identity_cube(4, 2), vec![1, 1, 1, 1]),
+        ];
+        for alg in [
+            algorithms::lu_decomposition(3),
+            algorithms::sor(4, 4),
+            algorithms::matvec(4, 4),
+            algorithms::bitlevel_matmul(2, 1),
+        ] {
+            let pi = valid(&alg).as_slice().to_vec();
+            cases.push((alg, pi));
+        }
+        for (alg, pi) in &cases {
+            let bound = if alg.dim() <= 3 { 2 } else { 1 };
+            let compared = check_rows_against_hnf_route(alg, pi, bound, 2_000);
+            assert!(compared > 0, "{}: nothing compared", alg.name);
+        }
+    }
+
+    cfmap_testkit::props! {
+        cases = 24;
+
+        /// Generated problems: n ≤ 5, μ ≤ 4 with a zero axis, and a
+        /// schedule over {−2, …, 2} — valid, invalid or zero.
+        fn schedule_side_generated_verdicts_match_the_hnf_route(
+            n in 2usize..=5,
+            mu in gen::vec(0i64..=4, 5),
+            zero_axis in 0usize..=5,
+            pi in gen::vec(-2i64..=2, 5),
+        ) {
+            let mut mu = mu[..n].to_vec();
+            if zero_axis < n {
+                mu[zero_axis] = 0;
+            }
+            let unit: Vec<Vec<i64>> =
+                (0..n).map(|i| (0..n).map(|j| i64::from(i == j)).collect()).collect();
+            let deps: Vec<&[i64]> = unit.iter().map(Vec::as_slice).collect();
+            let alg = UdaBuilder::new("generated").bounds(&mu).deps(&deps).build();
+            check_rows_against_hnf_route(&alg, &pi[..n], 1, 300);
+        }
+    }
+
+    #[test]
+    fn space_search_tabulates_its_schedule_up_to_the_build_cap() {
+        // Matmul with Π = [1, μ, 1] has two free coordinates: μ = 63
+        // needs 127² = 16,129 build points (tabulated), μ = 64 needs 129²
+        // (one Hermite form per candidate instead).
+        for (mu, tabulated) in [(63, true), (64, false)] {
+            let alg = algorithms::matmul(mu);
+            let pi = LinearSchedule::new(&[1, mu, 1]);
+            for tb in [TieBreak::FirstFound, TieBreak::LexMax] {
+                let out = SpaceSearch::new(&alg, &pi).tie_break(tb).solve().unwrap();
+                let t = &out.telemetry;
+                assert!(out.is_optimal(), "μ = {mu}: {t:?}");
+                assert_eq!(t.condition_hits.exact, t.enumerated - t.rejected_rank, "{t:?}");
+                if tabulated {
+                    assert_eq!(t.hnf_computations, 0, "μ = {mu}: {t:?}");
+                } else {
+                    assert_eq!(t.hnf_computations, t.enumerated, "μ = {mu}: {t:?}");
+                }
+            }
         }
     }
 

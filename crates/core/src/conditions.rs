@@ -329,37 +329,6 @@ pub fn rule_for(
     }
 }
 
-/// Run the configured condition kind through the process-wide
-/// kernel-lattice conflict memo (see
-/// [`ConflictAnalysis::is_conflict_free_exact_memoized`]). Only the
-/// exact test is memoized — its verdict depends solely on
-/// `(ker_Z(T), μ)` — while the paper's closed forms are basis-dependent
-/// and cheap, so they run directly. Verdicts are identical to
-/// [`check`]; memo traffic is recorded in `tel`.
-pub fn check_memoized(
-    kind: ConditionKind,
-    analysis: &ConflictAnalysis<'_>,
-    index_set: &IndexSet,
-    tel: &mut crate::metrics::SearchTelemetry,
-) -> ConditionVerdict {
-    match kind {
-        ConditionKind::Paper => paper_condition(analysis, index_set),
-        ConditionKind::Exact => {
-            let (free, probe) = analysis.is_conflict_free_exact_memoized();
-            match probe {
-                crate::conflict::MemoProbe::Hit => tel.memo_hits += 1,
-                crate::conflict::MemoProbe::Miss => tel.memo_misses += 1,
-                crate::conflict::MemoProbe::Bypass => {}
-            }
-            if free {
-                ConditionVerdict::ConflictFree
-            } else {
-                ConditionVerdict::HasConflict
-            }
-        }
-    }
-}
-
 /// Run the configured condition kind.
 pub fn check(
     kind: ConditionKind,

@@ -13,101 +13,6 @@ use crate::error::CfmapError;
 use crate::mapping::MappingMatrix;
 use cfmap_intlin::{Hnf, IMat, IVec, Int, Rat};
 use cfmap_model::IndexSet;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::{LazyLock, Mutex};
-
-/// Outcome of one kernel-lattice memo probe
-/// ([`ConflictAnalysis::is_conflict_free_exact_memoized`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MemoProbe {
-    /// The verdict was answered from the memo without enumerating.
-    Hit,
-    /// The verdict was computed and recorded for future candidates.
-    Miss,
-    /// The memo was bypassed: trivial (rank-`n`) kernel, or the canonical
-    /// key overflowed `i64` and the verdict was computed directly.
-    Bypass,
-}
-
-/// Shard count for the process-wide conflict memo. Keys are spread by
-/// hash so concurrent search workers rarely contend on one lock.
-const MEMO_SHARD_COUNT: usize = 16;
-
-/// Per-shard entry cap. A full shard is cleared rather than evicted —
-/// the memo caches deterministic facts, so dropping it only costs
-/// recomputation, and clearing keeps the bookkeeping allocation-free.
-const MEMO_SHARD_CAP: usize = 8192;
-
-/// Process-wide memo of exact conflict-freedom verdicts keyed on the
-/// canonical (Hermite) basis of the saturated kernel lattice plus the
-/// index-set box. Distinct mapping matrices with the same rational row
-/// space share a kernel lattice and therefore a verdict — e.g. `[S; Π]`
-/// vs `[Π; S]`, or `Π` vs `Π + αS` under a fixed `S` — so collisions
-/// are common in Problem 6.1/6.2 sweeps.
-type MemoShard = Mutex<HashMap<Vec<i64>, bool>>;
-
-static CONFLICT_MEMO: LazyLock<Vec<MemoShard>> = LazyLock::new(|| {
-    (0..MEMO_SHARD_COUNT).map(|_| Mutex::new(HashMap::new())).collect()
-});
-
-fn memo_shard(key: &[i64]) -> &'static MemoShard {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    &CONFLICT_MEMO[(h.finish() as usize) % MEMO_SHARD_COUNT]
-}
-
-/// In-place row-style Hermite normalization of `rows` (full reduction:
-/// positive pivots, entries above each pivot reduced into `[0, pivot)`),
-/// over checked `i64`. Returns `None` on overflow — callers fall back to
-/// the direct verdict. The result is the unique canonical basis of the
-/// row lattice, so two inputs generate the same lattice iff their
-/// normalized forms are equal.
-fn row_hnf_i64(rows: &mut [Vec<i64>]) -> Option<()> {
-    let nrows = rows.len();
-    if nrows == 0 {
-        return Some(());
-    }
-    let ncols = rows[0].len();
-    let mut pr = 0;
-    for c in 0..ncols {
-        if pr == nrows {
-            break;
-        }
-        let Some(first) = (pr..nrows).find(|&r| rows[r][c] != 0) else {
-            continue;
-        };
-        rows.swap(pr, first);
-        // Euclidean elimination below the pivot.
-        for r in pr + 1..nrows {
-            while rows[r][c] != 0 {
-                let q = rows[pr][c] / rows[r][c];
-                let (head, tail) = rows.split_at_mut(r);
-                for (a, &b) in head[pr].iter_mut().zip(tail[0].iter()) {
-                    *a = a.checked_sub(q.checked_mul(b)?)?;
-                }
-                rows.swap(pr, r);
-            }
-        }
-        if rows[pr][c] < 0 {
-            for v in rows[pr].iter_mut() {
-                *v = v.checked_neg()?;
-            }
-        }
-        let p = rows[pr][c];
-        for r in 0..pr {
-            let q = rows[r][c].div_euclid(p);
-            if q != 0 {
-                let (head, tail) = rows.split_at_mut(pr);
-                for (a, &b) in head[r].iter_mut().zip(tail[0].iter()) {
-                    *a = a.checked_sub(q.checked_mul(b)?)?;
-                }
-            }
-        }
-        pr += 1;
-    }
-    Some(())
-}
 
 /// Feasibility of a single conflict vector (Theorem 2.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -261,66 +166,6 @@ impl<'a> ConflictAnalysis<'a> {
     /// which is enumerated exactly.
     pub fn is_conflict_free_exact(&self) -> bool {
         self.find_small_kernel_vector().is_none()
-    }
-
-    /// [`Self::is_conflict_free_exact`] through the process-wide
-    /// kernel-lattice memo. The exact verdict depends only on
-    /// `(ker_Z(T), μ)` — not on `T` itself — so candidates whose
-    /// saturated kernel lattices coincide over the same index box share
-    /// one enumeration. The memo key is the unique Hermite canonical
-    /// basis of the lattice, so any two such candidates collide exactly.
-    ///
-    /// Always returns the same verdict as the unmemoized route (the
-    /// memo caches a deterministic fact); the probe reports whether it
-    /// was answered from cache, computed-and-recorded, or bypassed.
-    pub fn is_conflict_free_exact_memoized(&self) -> (bool, MemoProbe) {
-        let basis = self.lattice_basis();
-        if basis.is_empty() {
-            // rank n: injective on Z^n, no memo traffic needed.
-            return (true, MemoProbe::Bypass);
-        }
-        let Some(key) = self.memo_key(&basis) else {
-            return (self.is_conflict_free_exact(), MemoProbe::Bypass);
-        };
-        let shard = memo_shard(&key);
-        if let Some(&verdict) = shard.lock().unwrap_or_else(|p| p.into_inner()).get(&key) {
-            crate::metrics::CONFLICT_MEMO_HITS.inc();
-            return (verdict, MemoProbe::Hit);
-        }
-        let verdict = self.is_conflict_free_exact();
-        crate::metrics::CONFLICT_MEMO_MISSES.inc();
-        let mut guard = shard.lock().unwrap_or_else(|p| p.into_inner());
-        if guard.len() >= MEMO_SHARD_CAP {
-            guard.clear();
-        }
-        guard.insert(key, verdict);
-        (verdict, MemoProbe::Miss)
-    }
-
-    /// Canonical memo key for the kernel lattice spanned by `basis` over
-    /// this index set: `[d, n, μ…, canonical basis rows…]`. `None` when
-    /// any basis entry or intermediate of the Hermite normalization
-    /// leaves `i64` (the caller then computes the verdict directly).
-    fn memo_key(&self, basis: &[IVec]) -> Option<Vec<i64>> {
-        let n = self.mapping.dim();
-        let d = basis.len();
-        let mut rows: Vec<Vec<i64>> = Vec::with_capacity(d);
-        for b in basis {
-            let mut row = Vec::with_capacity(n);
-            for i in 0..n {
-                row.push(b[i].to_i64()?);
-            }
-            rows.push(row);
-        }
-        row_hnf_i64(&mut rows)?;
-        let mut key = Vec::with_capacity(2 + n + d * n);
-        key.push(i64::try_from(d).ok()?);
-        key.push(i64::try_from(n).ok()?);
-        key.extend(self.index_set.mu().iter().copied());
-        for row in &rows {
-            key.extend_from_slice(row);
-        }
-        Some(key)
     }
 
     /// A nonzero kernel-lattice vector inside the box `[−μ, μ]^n`, if one
@@ -628,61 +473,6 @@ mod tests {
             }
             other => panic!("expected Overflow, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn memoized_verdict_matches_and_collides_across_row_spans() {
-        // Distinctive μ so this test's memo keys don't collide with other
-        // tests sharing the process-wide memo.
-        let j = IndexSet::new(&[5, 7, 3]);
-        let t = mapping(&[&[1, 1, -1], &[1, 4, 1]]);
-        let a = ConflictAnalysis::new(&t, &j);
-        let plain = a.is_conflict_free_exact();
-        let (verdict, probe) = a.is_conflict_free_exact_memoized();
-        assert_eq!(verdict, plain);
-        assert_ne!(probe, MemoProbe::Bypass, "small i64 basis must be memoizable");
-        // Row-permuted and row-combined stacks span the same rational row
-        // space ⇒ same saturated kernel lattice ⇒ memo hit.
-        for rows in [
-            vec![vec![1i64, 4, 1], vec![1, 1, -1]],
-            vec![vec![1, 1, -1], vec![2, 5, 0]], // row2 + row1
-            vec![vec![2, 2, -2], vec![1, 4, 1]], // 2·row1
-        ] {
-            let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
-            let t2 = mapping(&refs);
-            let a2 = ConflictAnalysis::new(&t2, &j);
-            let (v2, p2) = a2.is_conflict_free_exact_memoized();
-            assert_eq!(v2, plain, "rows {rows:?}");
-            assert_eq!(v2, a2.is_conflict_free_exact(), "rows {rows:?}");
-            assert_eq!(p2, MemoProbe::Hit, "rows {rows:?} share the kernel lattice");
-        }
-        // Full-rank square mapping bypasses the memo (trivial kernel).
-        let t3 = mapping(&[&[1, 0, 0], &[0, 1, 0], &[0, 0, 1]]);
-        let a3 = ConflictAnalysis::new(&t3, &j);
-        assert_eq!(a3.is_conflict_free_exact_memoized(), (true, MemoProbe::Bypass));
-        // A different box must NOT reuse the verdict key.
-        let j2 = IndexSet::new(&[5, 7, 4]);
-        let a4 = ConflictAnalysis::new(&t, &j2);
-        let (v4, p4) = a4.is_conflict_free_exact_memoized();
-        assert_eq!(v4, a4.is_conflict_free_exact());
-        assert_ne!(p4, MemoProbe::Hit, "μ is part of the memo key");
-    }
-
-    #[test]
-    fn row_hnf_canonicalizes_equal_lattices() {
-        let mut a = vec![vec![2i64, 4, 6], vec![0, 3, 9]];
-        let mut b = vec![vec![0i64, 3, 9], vec![2, 7, 15]]; // same row lattice
-        row_hnf_i64(&mut a).unwrap();
-        row_hnf_i64(&mut b).unwrap();
-        assert_eq!(a, b);
-        for row in &a {
-            let p = row.iter().find(|&&x| x != 0).copied().unwrap();
-            assert!(p > 0, "pivots positive: {a:?}");
-        }
-        // Different lattices must stay distinct.
-        let mut c = vec![vec![2i64, 4, 6], vec![0, 3, 8]];
-        row_hnf_i64(&mut c).unwrap();
-        assert_ne!(a, c);
     }
 
     #[test]

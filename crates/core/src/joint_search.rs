@@ -13,11 +13,11 @@
 //! [`TieBreak::LexMax`], which must still see equal-time designs to pick
 //! the lex-greatest space row among them).
 //!
-//! The screening hot path shares Procedure 5.1's fast machinery (see
-//! `space_search`): exact verdicts go through the kernel-lattice conflict
-//! memo, and the outer space-row space can be quotiented by the bare
-//! problem's symmetry stabilizer ([`crate::canon::problem_stabilizer`] —
-//! no `Π` is pinned here, `S` itself is the variable).
+//! Each inner search screens by its space row's box-kernel table (see
+//! `crate::box_kernel`), and the outer space-row space can be quotiented
+//! by the bare problem's symmetry stabilizer
+//! ([`crate::canon::problem_stabilizer`] — no `Π` is pinned here, `S`
+//! itself is the variable).
 
 use crate::budget::{CancelToken, SearchBudget, SearchOutcome};
 use crate::canon::Stabilizer;
@@ -79,7 +79,6 @@ pub struct JointSearch<'a> {
     cancel: Option<&'a CancelToken>,
     tie_break: TieBreak,
     symmetry: SymmetryMode,
-    memo: bool,
 }
 
 impl<'a> JointSearch<'a> {
@@ -95,7 +94,6 @@ impl<'a> JointSearch<'a> {
             cancel: None,
             tie_break: TieBreak::default(),
             symmetry: SymmetryMode::default(),
-            memo: true,
         }
     }
 
@@ -155,14 +153,6 @@ impl<'a> JointSearch<'a> {
     /// preconditions); silently degrades to full enumeration otherwise.
     pub fn symmetry(mut self, mode: SymmetryMode) -> Self {
         self.symmetry = mode;
-        self
-    }
-
-    /// Route exact conflict verdicts of the inner schedule searches
-    /// through the process-wide kernel-lattice memo (default: on); see
-    /// [`crate::Procedure51::memo`].
-    pub fn memo(mut self, on: bool) -> Self {
-        self.memo = on;
         self
     }
 
@@ -230,8 +220,7 @@ impl<'a> JointSearch<'a> {
         tel: &mut SearchTelemetry,
     ) -> Result<RowResult, CfmapError> {
         let space = SpaceMap::row(row);
-        let mut proc =
-            Procedure51::new(self.alg, &space).condition(self.condition).memo(self.memo);
+        let mut proc = Procedure51::new(self.alg, &space).condition(self.condition);
         if let Some(c) = self.cancel {
             proc = proc.cancel_token(c);
         }
@@ -486,18 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_off_is_bit_identical() {
-        let alg = algorithms::matmul(3);
-        let on = JointSearch::new(&alg).solve().unwrap().expect_optimal("on");
-        let off = JointSearch::new(&alg).memo(false).solve().unwrap().expect_optimal("off");
-        assert_eq!(on.space, off.space);
-        assert_eq!(on.schedule, off.schedule);
-        assert_eq!(on.total_time, off.total_time);
-        assert_eq!(on.space_cost, off.space_cost);
-        assert_eq!(on.space_maps_tried, off.space_maps_tried);
-    }
-
-    #[test]
     fn lexmax_winner_is_lex_greatest_minimal_row() {
         let alg = algorithms::matmul(3);
         for criterion in [JointCriterion::TimeThenSpace, JointCriterion::SpaceThenTime] {
@@ -521,7 +498,7 @@ mod tests {
     }
 
     #[test]
-    fn quotient_and_parallel_match_sequential_lexmax() {
+    fn quotient_matches_full_enumeration_lexmax() {
         for alg in [algorithms::matmul(3), algorithms::transitive_closure(3)] {
             for criterion in [JointCriterion::TimeThenSpace, JointCriterion::SpaceThenTime] {
                 let base = JointSearch::new(&alg)

@@ -55,7 +55,7 @@ pub use canon::{
     canon_fingerprint, canonicalize, problem_stabilizer, stabilizer, Canonicalization,
     CanonicalProblem, SignedPerm, Stabilizer,
 };
-pub use conflict::{ConflictAnalysis, Feasibility, MemoProbe};
+pub use conflict::{ConflictAnalysis, Feasibility};
 pub use error::{BudgetLimit, CfmapError};
 pub use family::{
     certify, instantiate, CertifyError, Discharge, FamilyCertificate, FamilyInstance, FamilyKey,

@@ -505,16 +505,10 @@ pub static ORBITS_PRUNED: Counter = Counter::new();
 /// as `cfmap_hybrid_escalations_total`.
 pub static HYBRID_ESCALATIONS: Counter = Counter::new();
 
-/// Process-wide count of kernel-lattice conflict-memo hits — exact
-/// conflict-freedom verdicts answered from the memo because an earlier
-/// candidate's saturated kernel lattice coincided over the same index
-/// box (see `cfmap_core::conflict`). The service exports this as
-/// `cfmap_conflict_memo_hits_total`.
+/// Retired with the kernel-lattice conflict memo: never incremented.
 pub static CONFLICT_MEMO_HITS: Counter = Counter::new();
 
-/// Process-wide count of kernel-lattice conflict-memo misses — exact
-/// verdicts that had to be computed (and were then recorded). The
-/// service exports this as `cfmap_conflict_memo_misses_total`.
+/// Retired with the kernel-lattice conflict memo: never incremented.
 pub static CONFLICT_MEMO_MISSES: Counter = Counter::new();
 
 /// Process-wide count of accepted candidate designs discarded by the
@@ -689,10 +683,6 @@ pub struct SearchTelemetry {
     /// stabilizer element maps to a lex-greater representative, so the
     /// representative's verdict covers them (see `cfmap_core::canon`).
     pub orbits_pruned: u64,
-    /// Exact conflict verdicts answered from the kernel-lattice memo.
-    pub memo_hits: u64,
-    /// Exact conflict verdicts computed and recorded in the memo.
-    pub memo_misses: u64,
     /// The budget limit that ended the search, if one tripped.
     pub budget_limit: Option<BudgetLimit>,
 }
@@ -726,8 +716,6 @@ impl SearchTelemetry {
         self.condition_hits.merge(&other.condition_hits);
         self.fallback_screened += other.fallback_screened;
         self.orbits_pruned += other.orbits_pruned;
-        self.memo_hits += other.memo_hits;
-        self.memo_misses += other.memo_misses;
         self.budget_limit = self.budget_limit.or(other.budget_limit);
         self.levels_truncated |= other.levels_truncated;
         // Merge sorted level lists, summing equal-objective records.

@@ -16,8 +16,11 @@
 //! and `tests/pareto_props.rs`).
 //!
 //! The screening per candidate is the unified core every search shares:
-//! schedule validity, fixed-prefix Hermite completion, the rank gate,
-//! and the exact kernel-lattice conflict test (optionally memoized).
+//! the fixed side of the mapping is tabulated once as a box-kernel table
+//! (`crate::box_kernel`), and the rank and exact conflict gates of each
+//! candidate are dot products against it — Procedure 5.1's table of `S`
+//! in the fixed-space and joint scopes, the `Π` table of
+//! [`crate::SpaceSearch`] in the fixed-schedule scope.
 //! The optional bandwidth axis is fed by an *injected probe* — the
 //! simulator's per-link load accounting (`cfmap_systolic::peak_link_load`)
 //! — so this crate stays independent of the simulator while the service
@@ -26,20 +29,19 @@
 //! **Determinism.** The frontier is a pure function of the problem and
 //! the knobs: one witness design is kept per distinct objective vector —
 //! the lexicographically greatest `(space rows, schedule)` among all
-//! accepted candidates achieving that vector — so neither the symmetry
-//! quotient nor the conflict memo can change the result
-//! (`tests/pareto_props.rs` proves both equalities).
+//! accepted candidates achieving that vector — so the symmetry quotient
+//! cannot change the result (`tests/pareto_props.rs` proves it).
 
+use crate::box_kernel::BoxKernelTable;
 use crate::canon::Stabilizer;
-use crate::conditions::{check, check_memoized, rule_for, ConditionKind};
-use crate::conflict::ConflictAnalysis;
+use crate::conditions::ConditionKind;
 use crate::error::CfmapError;
 use crate::mapping::{MappingMatrix, SpaceMap};
 use crate::metrics::SearchTelemetry;
 use crate::search::{weighted_objective, Procedure51, SymmetryMode, TieBreak};
-use crate::space_search::{canonical_rows, is_class_representative, vlsi_cost};
+use crate::space_search::{canonical_rows, is_class_representative, screen_space_rows, vlsi_cost};
 use cfmap_intlin::dominance::non_dominated_indices;
-use cfmap_intlin::{hnf_prefix_i64, HnfPrefix, HnfWorkspace, IMat, Rat};
+use cfmap_intlin::{IMat, Rat};
 use cfmap_model::{LinearSchedule, Uda};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -262,7 +264,6 @@ pub struct ParetoSearch<'a> {
     entry_bound: i64,
     max_objective: Option<i64>,
     symmetry: SymmetryMode,
-    memo: bool,
     bandwidth_probe: Option<&'a BandwidthProbe<'a>>,
 }
 
@@ -277,7 +278,6 @@ impl<'a> ParetoSearch<'a> {
             entry_bound: 2,
             max_objective: None,
             symmetry: SymmetryMode::default(),
-            memo: true,
             bandwidth_probe: None,
         }
     }
@@ -326,13 +326,6 @@ impl<'a> ParetoSearch<'a> {
     /// proven orbit-invariant under reversal.
     pub fn symmetry(mut self, mode: SymmetryMode) -> Self {
         self.symmetry = mode;
-        self
-    }
-
-    /// Route exact conflict verdicts through the process-wide
-    /// kernel-lattice memo (default: on); see [`Procedure51::memo`].
-    pub fn memo(mut self, on: bool) -> Self {
-        self.memo = on;
         self
     }
 
@@ -433,8 +426,7 @@ impl<'a> ParetoSearch<'a> {
         let mut fb = FrontierBuilder::default();
         let mut tel = SearchTelemetry::default();
         if self.resources.admits_space(processors, wires) {
-            let mut proc =
-                Procedure51::new(self.alg, space).tie_break(TieBreak::LexMax).memo(self.memo);
+            let mut proc = Procedure51::new(self.alg, space).tie_break(TieBreak::LexMax);
             if let Some(cap) = self.max_objective {
                 proc = proc.max_objective(cap);
             }
@@ -484,8 +476,7 @@ impl<'a> ParetoSearch<'a> {
         row: &[i64],
         fixed_time: Option<i64>,
         quotient: Option<&Stabilizer>,
-        prefix: Option<&HnfPrefix>,
-        ws: &mut HnfWorkspace,
+        table: Option<&BoxKernelTable>,
     ) -> Result<RowScan, CfmapError> {
         let mut scan = RowScan::default();
         let rows_vec = vec![row.to_vec()];
@@ -501,33 +492,12 @@ impl<'a> ParetoSearch<'a> {
         match (self.schedule, fixed_time) {
             (Some(pi), Some(total_time)) => {
                 scan.tel.enumerated += 1;
-                let mapping = MappingMatrix::new(space.clone(), pi.clone());
-                let refs: Vec<&[i64]> = vec![row];
-                let hnf = match prefix.and_then(|p| p.complete_rows(&refs, ws)) {
-                    Some(h) => h,
-                    None => mapping.hnf(),
-                };
-                let analysis = ConflictAnalysis::with_hnf(&mapping, &self.alg.index_set, hnf);
-                scan.tel.hnf_computations += 1;
-                if analysis.rank() != mapping.k() {
-                    scan.tel.rejected_rank += 1;
+                let exact = ConditionKind::Exact;
+                let Some(mapping) =
+                    screen_space_rows(self.alg, pi, exact, table, &[row], &mut scan.tel)
+                else {
                     return Ok(scan);
-                }
-                scan.tel.condition_hits.record(rule_for(ConditionKind::Exact, &analysis));
-                let verdict = if self.memo {
-                    check_memoized(
-                        ConditionKind::Exact,
-                        &analysis,
-                        &self.alg.index_set,
-                        &mut scan.tel,
-                    )
-                } else {
-                    check(ConditionKind::Exact, &analysis, &self.alg.index_set)
                 };
-                if !verdict.accepts() {
-                    scan.tel.rejected_conflict += 1;
-                    return Ok(scan);
-                }
                 scan.tel.accepted += 1;
                 if let Some(p) = self.eval_point(
                     &space,
@@ -541,7 +511,7 @@ impl<'a> ParetoSearch<'a> {
                 }
             }
             _ => {
-                let mut proc = Procedure51::new(self.alg, &space).memo(self.memo);
+                let mut proc = Procedure51::new(self.alg, &space);
                 if let Some(cap) = self.max_objective {
                     proc = proc.max_objective(cap);
                 }
@@ -588,15 +558,14 @@ impl<'a> ParetoSearch<'a> {
             None => None,
         };
         let quotient = self.active_quotient();
-        let prefix = self
-            .schedule
-            .and_then(|pi| hnf_prefix_i64(&IMat::from_rows(&[pi.as_slice()])));
-        let mut ws = HnfWorkspace::new();
+        // The fixed-schedule scope tabulates its Π once, as SpaceSearch does.
+        let table = self.schedule.and_then(|pi| {
+            BoxKernelTable::build(&IMat::from_rows(&[pi.as_slice()]), self.alg.index_set.mu())
+        });
         let mut fb = FrontierBuilder::default();
         let mut tel = SearchTelemetry::default();
         for row in canonical_rows(self.alg.dim(), self.entry_bound) {
-            let scan =
-                self.row_accepts(&row, fixed_time, quotient.as_ref(), prefix.as_ref(), &mut ws)?;
+            let scan = self.row_accepts(&row, fixed_time, quotient.as_ref(), table.as_ref())?;
             if scan.pruned {
                 tel.orbits_pruned += 1;
                 crate::metrics::ORBITS_PRUNED.inc();

@@ -38,13 +38,14 @@
 use crate::box_kernel::BoxKernelTable;
 use crate::budget::{CancelToken, SearchBudget, SearchOutcome, SolveRoute};
 use crate::canon::Stabilizer;
-use crate::conditions::{check, check_memoized, rule_for, ConditionKind};
+use crate::conditions::{check, rule_for, ConditionKind};
 use crate::conflict::ConflictAnalysis;
 use crate::error::{BudgetLimit, CfmapError};
 use crate::mapping::{route, InterconnectionPrimitives, MappingMatrix, Routing, SpaceMap};
 use crate::metrics::{ConditionRule, SearchTelemetry};
 use cfmap_intlin::{hnf_prefix_i64, HnfPrefix, HnfWorkspace};
 use cfmap_model::{LinearSchedule, Uda};
+use std::ops::ControlFlow;
 use std::time::Instant;
 
 /// The result of a successful optimal-mapping search.
@@ -117,9 +118,6 @@ pub struct Procedure51<'a> {
     symmetry: SymmetryMode,
     hybrid: Option<HybridPolicy>,
     cancel: Option<&'a CancelToken>,
-    /// Whether exact conflict verdicts go through the process-wide
-    /// kernel-lattice memo (see [`Self::memo`]).
-    memo: bool,
     /// Column indices where `S` is entirely zero — used by the exact
     /// pairwise pre-filter (see [`Self::pairwise_prefilter_rejects`]).
     zero_space_cols: Vec<usize>,
@@ -333,7 +331,6 @@ impl<'a> Procedure51<'a> {
             symmetry: SymmetryMode::default(),
             hybrid: None,
             cancel: None,
-            memo: true,
             zero_space_cols,
             probe: None,
         }
@@ -413,19 +410,6 @@ impl<'a> Procedure51<'a> {
     /// none). See [`HybridPolicy`].
     pub fn hybrid(mut self, policy: HybridPolicy) -> Self {
         self.hybrid = Some(policy);
-        self
-    }
-
-    /// Route exact conflict verdicts through the process-wide
-    /// kernel-lattice memo (default: on). Only the HNF route consults
-    /// it: a search whose box is small enough for the box-kernel table
-    /// never does, either way. The memo caches a
-    /// deterministic fact — the verdict depends only on the candidate's
-    /// saturated kernel lattice and the index box — so results are
-    /// bit-identical either way; turning it off recovers the unmemoized
-    /// baseline for differential tests and benchmarks.
-    pub fn memo(mut self, on: bool) -> Self {
-        self.memo = on;
         self
     }
 
@@ -702,59 +686,19 @@ impl<'a> Procedure51<'a> {
     /// `None` when no variant is acceptable — the search then keeps its
     /// original cap and stays `Infeasible`, exactly as before.
     fn adaptive_cap_bound(&self) -> Option<i64> {
-        let mu = self.alg.index_set.mu();
-        let n = self.alg.dim();
         // Scratch telemetry: these screens are a bound probe, not search
         // effort, and must not skew the per-gate accounting invariants.
         let mut scratch = SearchTelemetry::default();
         let mut best: Option<i64> = None;
-        let mut screened = 0u64;
-        let mut perm: Vec<usize> = (0..n).collect();
-        'perms: loop {
-            let mut w = vec![0i64; n];
-            let mut acc: i64 = 1;
-            let mut overflow = false;
-            for &ax in &perm {
-                w[ax] = acc;
-                match mu[ax].checked_add(1).and_then(|radix| acc.checked_mul(radix)) {
-                    Some(next) => acc = next,
-                    None => {
-                        overflow = true;
-                        break;
-                    }
-                }
+        for_each_mixed_radix(self.alg.index_set.mu(), |pi, objective| {
+            // A variant that cannot improve skips the HNF screen.
+            if best.is_none_or(|b| objective < b)
+                && self.fallback_candidate(pi, objective, 0, &mut scratch).is_some()
+            {
+                best = Some(objective);
             }
-            if overflow {
-                screened += 1;
-                if screened >= MAX_FALLBACK_VARIANTS {
-                    break;
-                }
-            } else {
-                let sign_count = match n {
-                    0..=62 => 1u64 << n,
-                    _ => u64::MAX, // the cap trips long before 2⁶³
-                };
-                for signs in 0u64..sign_count {
-                    if screened >= MAX_FALLBACK_VARIANTS {
-                        break 'perms;
-                    }
-                    screened += 1;
-                    let pi: Vec<i64> = (0..n)
-                        .map(|i| if i < 64 && signs >> i & 1 == 1 { -w[i] } else { w[i] })
-                        .collect();
-                    let Some(objective) = weighted_objective(&pi, mu) else { continue };
-                    if best.is_some_and(|b| objective >= b) {
-                        continue; // cannot improve; skip the HNF screen
-                    }
-                    if self.fallback_candidate(&pi, objective, 0, &mut scratch).is_some() {
-                        best = Some(objective);
-                    }
-                }
-            }
-            if !next_permutation(&mut perm) {
-                break;
-            }
-        }
+            ControlFlow::Continue(())
+        });
         best
     }
 
@@ -782,7 +726,7 @@ impl<'a> Procedure51<'a> {
 
     /// Build the per-search screening state. The box-kernel table is
     /// built for the exact condition when the box is small enough to
-    /// tabulate; otherwise the HNF prefix is, for the HNF + memo route.
+    /// tabulate; otherwise the HNF prefix is, for the HNF route.
     fn screen_prep(&self) -> ScreenPrep {
         let table = match self.condition {
             ConditionKind::Exact => {
@@ -903,12 +847,7 @@ impl<'a> Procedure51<'a> {
             return None; // condition 4: rank(T) = k
         }
         tel.condition_hits.record(rule_for(self.condition, &analysis));
-        let verdict = if self.memo {
-            check_memoized(self.condition, &analysis, &self.alg.index_set, tel)
-        } else {
-            check(self.condition, &analysis, &self.alg.index_set)
-        };
-        if !verdict.accepts() {
+        if !check(self.condition, &analysis, &self.alg.index_set).accepts() {
             tel.rejected_conflict += 1;
             return None; // condition 3: conflict-freedom
         }
@@ -942,85 +881,36 @@ impl<'a> Procedure51<'a> {
             limit,
             BudgetLimit::WallClock | BudgetLimit::Deadline | BudgetLimit::Cancelled
         );
-        let mu = self.alg.index_set.mu();
-        let n = self.alg.dim();
         let mut best: Option<OptimalMapping> = None;
-        let mut screened = 0u64;
-        let mut perm: Vec<usize> = (0..n).collect();
-        'perms: loop {
-            // Mixed-radix weights: the axis visited first varies fastest.
-            let mut w = vec![0i64; n];
-            let mut acc: i64 = 1;
-            let mut overflow = false;
-            for &ax in &perm {
-                w[ax] = acc;
-                match mu[ax].checked_add(1).and_then(|radix| acc.checked_mul(radix)) {
-                    Some(next) => acc = next,
-                    None => {
-                        overflow = true;
-                        break;
-                    }
+        let screened = for_each_mixed_radix(self.alg.index_set.mu(), |pi, objective| {
+            let Some(cand) = self.fallback_candidate(pi, objective, candidates_examined, &mut tel)
+            else {
+                return ControlFlow::Continue(());
+            };
+            let better = match &best {
+                None => true,
+                Some(b) => {
+                    // Equal-objective ties follow the solver's tie-break
+                    // pin: the fallback must return the same
+                    // representative convention as `solve`, or a budgeted
+                    // warm-start probe and the full search would disagree
+                    // on μ-stable families.
+                    let tie = match self.tie_break {
+                        TieBreak::FirstFound => cand.schedule.as_slice() < b.schedule.as_slice(),
+                        TieBreak::LexMax => cand.schedule.as_slice() > b.schedule.as_slice(),
+                    };
+                    cand.objective < b.objective || (cand.objective == b.objective && tie)
                 }
+            };
+            if better {
+                best = Some(cand);
             }
-            if overflow {
-                // Still charge the cap: with huge μ every permutation
-                // may overflow, and n! of even these cheap skips must
-                // not run unbounded.
-                screened += 1;
-                if screened >= MAX_FALLBACK_VARIANTS {
-                    break;
-                }
+            if first_valid_suffices {
+                ControlFlow::Break(())
             } else {
-                let sign_count = match n {
-                    0..=62 => 1u64 << n,
-                    _ => u64::MAX, // the cap trips long before 2⁶³
-                };
-                for signs in 0u64..sign_count {
-                    if screened >= MAX_FALLBACK_VARIANTS {
-                        break 'perms;
-                    }
-                    screened += 1;
-                    let pi: Vec<i64> = (0..n)
-                        .map(|i| if i < 64 && signs >> i & 1 == 1 { -w[i] } else { w[i] })
-                        .collect();
-                    let Some(objective) = weighted_objective(&pi, mu) else { continue };
-                    if let Some(cand) =
-                        self.fallback_candidate(&pi, objective, candidates_examined, &mut tel)
-                    {
-                        let better = match &best {
-                            None => true,
-                            Some(b) => {
-                                // Equal-objective ties follow the solver's
-                                // tie-break pin: the fallback must return
-                                // the same representative convention as
-                                // `solve`, or a budgeted warm-start probe
-                                // and the full search would disagree on
-                                // μ-stable families.
-                                let tie = match self.tie_break {
-                                    TieBreak::FirstFound => {
-                                        cand.schedule.as_slice() < b.schedule.as_slice()
-                                    }
-                                    TieBreak::LexMax => {
-                                        cand.schedule.as_slice() > b.schedule.as_slice()
-                                    }
-                                };
-                                cand.objective < b.objective
-                                    || (cand.objective == b.objective && tie)
-                            }
-                        };
-                        if better {
-                            best = Some(cand);
-                        }
-                        if first_valid_suffices {
-                            break 'perms;
-                        }
-                    }
-                }
+                ControlFlow::Continue(())
             }
-            if !next_permutation(&mut perm) {
-                break;
-            }
-        }
+        });
         tel.fallback_screened = screened;
         match best {
             Some(mapping) => {
@@ -1199,6 +1089,66 @@ pub(crate) fn weighted_objective(pi: &[i64], mu: &[i64]) -> Option<i64> {
 /// was `n!·2ⁿ` — materializing (and walking) that for a wire-supplied
 /// `n` of a few dozen axes is an OOM/hang.
 const MAX_FALLBACK_VARIANTS: u64 = 46_080;
+
+/// Walk the mixed-radix schedule family: for each axis permutation in
+/// lexicographic order the weights `w_next = w · (μ + 1)`, first axis
+/// fastest, and for each of its `2ⁿ` sign patterns the schedule `Π`,
+/// handed to `visit` with its objective `Σ|π_i|μ_i` until `visit`
+/// breaks. Every variant is charged against [`MAX_FALLBACK_VARIANTS`],
+/// including a permutation whose weights overflow (charged once, none of
+/// its sign patterns visited) and a variant whose objective overflows
+/// (not visited). Returns the number of variants charged.
+fn for_each_mixed_radix(mu: &[i64], mut visit: impl FnMut(&[i64], i64) -> ControlFlow<()>) -> u64 {
+    let n = mu.len();
+    let mut screened = 0u64;
+    let mut perm: Vec<usize> = (0..n).collect();
+    'perms: loop {
+        let mut w = vec![0i64; n];
+        let mut acc: i64 = 1;
+        let mut overflow = false;
+        for &ax in &perm {
+            w[ax] = acc;
+            match mu[ax].checked_add(1).and_then(|radix| acc.checked_mul(radix)) {
+                Some(next) => acc = next,
+                None => {
+                    overflow = true;
+                    break;
+                }
+            }
+        }
+        if overflow {
+            // Still charge the cap: with huge μ every permutation may
+            // overflow, and n! of even these cheap skips must not run
+            // unbounded.
+            screened += 1;
+            if screened >= MAX_FALLBACK_VARIANTS {
+                break;
+            }
+        } else {
+            let sign_count = match n {
+                0..=62 => 1u64 << n,
+                _ => u64::MAX, // the cap trips long before 2⁶³
+            };
+            for signs in 0u64..sign_count {
+                if screened >= MAX_FALLBACK_VARIANTS {
+                    break 'perms;
+                }
+                screened += 1;
+                let pi: Vec<i64> = (0..n)
+                    .map(|i| if i < 64 && signs >> i & 1 == 1 { -w[i] } else { w[i] })
+                    .collect();
+                let Some(objective) = weighted_objective(&pi, mu) else { continue };
+                if visit(&pi, objective).is_break() {
+                    break 'perms;
+                }
+            }
+        }
+        if !next_permutation(&mut perm) {
+            break;
+        }
+    }
+    screened
+}
 
 /// Advance `p` to the lexicographically next permutation in place;
 /// `false` once `p` is the last (descending) one.

@@ -15,26 +15,26 @@
 //! to the time-optimal search so the two can be composed (alternate
 //! Π-step / S-step, Problem 6.2 style).
 //!
-//! The screening hot path shares Procedure 5.1's machinery: the fixed
-//! `Π` row is pre-eliminated **once** per run ([`HnfPrefix`]) and every
-//! candidate only completes its own `S` rows
-//! ([`HnfPrefix::complete_rows`]) — sound for the exact condition
-//! because rank and the saturated kernel lattice of `[Π; S]` equal those
-//! of `[S; Π]` (they depend only on the row span). Exact verdicts go
-//! through the process-wide kernel-lattice conflict memo, and the
-//! candidate space can be quotiented by the problem's symmetry
-//! stabilizer under the `LexMax` pin — both bit-identical to the
-//! unmemoized full enumeration (see `tests/space_joint_props.rs`).
+//! The fixed `Π` row is tabulated **once** per run: a box-kernel table
+//! (`crate::box_kernel`) lists every in-box direction `γ` with
+//! `Π·γ = 0`, so each candidate's rank and exact conflict gates are dot
+//! products (`screen_space_rows`, shared with the fixed-schedule
+//! Pareto scope). The paper's closed-form conditions, boxes too large to
+//! tabulate and i128 overflow take one from-scratch Hermite form of
+//! `[S; Π]` instead. The candidate space can be quotiented by the
+//! problem's symmetry stabilizer under the `LexMax` pin — bit-identical
+//! to full enumeration (see `tests/space_joint_props.rs`).
 
+use crate::box_kernel::BoxKernelTable;
 use crate::budget::{SearchBudget, SearchOutcome};
 use crate::canon::Stabilizer;
-use crate::conditions::{check, check_memoized, rule_for, ConditionKind};
+use crate::conditions::{check, rule_for, ConditionKind};
 use crate::conflict::ConflictAnalysis;
 use crate::error::{BudgetLimit, CfmapError};
 use crate::mapping::{MappingMatrix, SpaceMap};
-use crate::metrics::SearchTelemetry;
+use crate::metrics::{ConditionRule, SearchTelemetry};
 use crate::search::{SymmetryMode, TieBreak};
-use cfmap_intlin::{hnf_prefix_i64, HnfPrefix, HnfWorkspace, IMat, Int};
+use cfmap_intlin::{IMat, Int};
 use cfmap_model::{LinearSchedule, Uda};
 use std::collections::BTreeMap;
 
@@ -77,7 +77,6 @@ pub struct SpaceSearch<'a> {
     budget: SearchBudget,
     tie_break: TieBreak,
     symmetry: SymmetryMode,
-    memo: bool,
 }
 
 impl<'a> SpaceSearch<'a> {
@@ -92,7 +91,6 @@ impl<'a> SpaceSearch<'a> {
             budget: SearchBudget::unlimited(),
             tie_break: TieBreak::default(),
             symmetry: SymmetryMode::default(),
-            memo: true,
         }
     }
 
@@ -143,13 +141,6 @@ impl<'a> SpaceSearch<'a> {
     /// degrades to full enumeration otherwise.
     pub fn symmetry(mut self, mode: SymmetryMode) -> Self {
         self.symmetry = mode;
-        self
-    }
-
-    /// Route exact conflict verdicts through the process-wide
-    /// kernel-lattice memo (default: on); see [`crate::Procedure51::memo`].
-    pub fn memo(mut self, on: bool) -> Self {
-        self.memo = on;
         self
     }
 
@@ -208,16 +199,16 @@ impl<'a> SpaceSearch<'a> {
         Some(stab)
     }
 
-    /// Pre-eliminate the fixed `Π` row once for the whole run. Only the
-    /// exact condition may screen the row-permuted stack `[Π; S]`: its
-    /// rank and kernel *lattice* equal those of `[S; Π]`, but the
-    /// paper's closed forms read the concrete Hermite multiplier, which
-    /// is basis- (hence row-order-) dependent.
-    fn screen_prefix(&self) -> Option<HnfPrefix> {
-        if self.condition != ConditionKind::Exact {
-            return None;
+    /// The box-kernel table of the fixed `Π` row, built once per run for
+    /// the exact condition (see [`screen_space_rows`]).
+    fn screen_table(&self) -> Option<BoxKernelTable> {
+        match self.condition {
+            ConditionKind::Exact => BoxKernelTable::build(
+                &IMat::from_rows(&[self.schedule.as_slice()]),
+                self.alg.index_set.mu(),
+            ),
+            ConditionKind::Paper => None,
         }
-        hnf_prefix_i64(&IMat::from_rows(&[self.schedule.as_slice()]))
     }
 
     /// Materialize the candidate space as cost levels: rows of the
@@ -275,13 +266,17 @@ impl<'a> SpaceSearch<'a> {
     /// lex-greatest acceptance returned — equally optimal). Because the
     /// search accepts within the first valid cost level there is no
     /// intermediate best-so-far: a tripped [`SearchBudget`] before any
-    /// acceptance is reported as [`CfmapError::BudgetExhausted`].
+    /// acceptance is reported as [`CfmapError::BudgetExhausted`]. A
+    /// schedule that violates condition 1 (`Π·d̄ ≥ 1`) admits no design:
+    /// the outcome is `Infeasible` with no candidate examined.
     pub fn solve(&self) -> Result<SearchOutcome<SpaceOptimalMapping>, CfmapError> {
         self.validate()?;
+        if !self.schedule.is_valid_for(&self.alg.deps) {
+            return Ok(SearchOutcome::infeasible(0));
+        }
         let quotient = self.active_quotient();
         let levels = self.build_levels(quotient.as_ref())?;
-        let prefix = self.screen_prefix();
-        let mut ws = HnfWorkspace::new();
+        let table = self.screen_table();
         let mut meter = self.budget.start();
         let mut tel = SearchTelemetry::default();
         for level in &levels {
@@ -298,9 +293,7 @@ impl<'a> SpaceSearch<'a> {
                 let limit = meter.charge_candidate();
                 tel.enumerated += 1;
                 let refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
-                if let Some(found) =
-                    self.screen(level.cost, &refs, &mut tel, prefix.as_ref(), &mut ws)?
-                {
+                if let Some(found) = self.screen(level.cost, &refs, &mut tel, table.as_ref())? {
                     tel.accepted += 1;
                     match self.tie_break {
                         TieBreak::FirstFound => {
@@ -340,44 +333,20 @@ impl<'a> SpaceSearch<'a> {
         Ok(SearchOutcome::infeasible(meter.candidates).with_telemetry(tel))
     }
 
-    /// Screen a single candidate; `Some` when it is acceptable. The
-    /// Hermite form completes the pre-eliminated `Π` prefix with the
-    /// candidate's `S` rows when the exact condition is active (rank and
-    /// kernel lattice are row-order invariant), and is computed from
-    /// scratch on the `[S; Π]` stack otherwise.
+    /// Screen a single candidate; `Some` when it is acceptable.
     fn screen(
         &self,
         cost: i64,
         refs: &[&[i64]],
         tel: &mut SearchTelemetry,
-        prefix: Option<&HnfPrefix>,
-        ws: &mut HnfWorkspace,
+        table: Option<&BoxKernelTable>,
     ) -> Result<Option<SpaceOptimalMapping>, CfmapError> {
-        let space = SpaceMap::from_rows(refs);
-        let mapping = MappingMatrix::new(space.clone(), self.schedule.clone());
-        // One Hermite decomposition per candidate: its rank is rank(T), so
-        // the full-rank gate needs no separate rational elimination, and
-        // the unimodular inverse stays uncomputed for rejected candidates.
-        let hnf = match prefix.and_then(|p| p.complete_rows(refs, ws)) {
-            Some(h) => h,
-            None => mapping.hnf(),
-        };
-        let analysis = ConflictAnalysis::with_hnf(&mapping, &self.alg.index_set, hnf);
-        tel.hnf_computations += 1;
-        if analysis.rank() != mapping.k() {
-            tel.rejected_rank += 1;
+        let Some(mapping) =
+            screen_space_rows(self.alg, self.schedule, self.condition, table, refs, tel)
+        else {
             return Ok(None);
-        }
-        tel.condition_hits.record(rule_for(self.condition, &analysis));
-        let verdict = if self.memo {
-            check_memoized(self.condition, &analysis, &self.alg.index_set, tel)
-        } else {
-            check(self.condition, &analysis, &self.alg.index_set)
         };
-        if !verdict.accepts() {
-            tel.rejected_conflict += 1;
-            return Ok(None);
-        }
+        let space = mapping.space().clone();
         let (_, processors, wires) = self.cost_of(&space)?;
         Ok(Some(SpaceOptimalMapping {
             space,
@@ -388,6 +357,52 @@ impl<'a> SpaceSearch<'a> {
             candidates_examined: 0, // caller fills in
         }))
     }
+}
+
+/// Conditions 4 and 3 for the candidate space rows `rows` under the
+/// fixed schedule: the mapping `T = [S; Π]` when `rank(T) = k` and the
+/// configured conflict test accepts, else `None` with the rejection
+/// charged to `tel`. With the fixed `Π`'s box-kernel table both gates
+/// are dot products; without one (the paper's conditions, boxes too
+/// large to tabulate), or when a dot product leaves i128, one Hermite
+/// form of `T` decides them.
+pub(crate) fn screen_space_rows(
+    alg: &Uda,
+    schedule: &LinearSchedule,
+    condition: ConditionKind,
+    table: Option<&BoxKernelTable>,
+    rows: &[&[i64]],
+    tel: &mut SearchTelemetry,
+) -> Option<MappingMatrix> {
+    let mapping = MappingMatrix::new(SpaceMap::from_rows(rows), schedule.clone());
+    let table_gates = table.and_then(|t| {
+        let full_rank = t.full_rank_rows(rows)?;
+        let conflict_free = if full_rank { t.conflict_free_rows(rows)? } else { false };
+        Some((full_rank, ConditionRule::Exact, conflict_free))
+    });
+    let (full_rank, rule, accepts) = match table_gates {
+        Some(gates) => gates,
+        None => {
+            let analysis = ConflictAnalysis::new(&mapping, &alg.index_set);
+            tel.hnf_computations += 1;
+            if analysis.rank() == mapping.k() {
+                let verdict = check(condition, &analysis, &alg.index_set);
+                (true, rule_for(condition, &analysis), verdict.accepts())
+            } else {
+                (false, ConditionRule::Exact, false)
+            }
+        }
+    };
+    if !full_rank {
+        tel.rejected_rank += 1;
+        return None; // condition 4: rank(T) = k
+    }
+    tel.condition_hits.record(rule);
+    if !accepts {
+        tel.rejected_conflict += 1;
+        return None; // condition 3: conflict-freedom
+    }
+    Some(mapping)
 }
 
 /// The VLSI cost triple `(sites + wires, sites, wires)` of `space`
@@ -607,14 +622,27 @@ mod tests {
         let t = &out.telemetry;
         assert_eq!(t.enumerated, out.candidates_examined);
         assert_eq!(t.accepted, 1);
-        assert!(t.hnf_computations >= 1);
-        // The rank gate reuses the per-candidate HNF, so rank-rejected
-        // candidates cost an HNF but never reach a condition test.
-        assert_eq!(t.condition_hits.total(), t.hnf_computations - t.rejected_rank);
-        // Exact-memoized: every condition dispatch is a memo hit or miss
-        // (small candidates always canonicalize, r = 0 cannot occur for
-        // a 2×3 stack of rank 2).
-        assert_eq!(t.memo_hits + t.memo_misses, t.condition_hits.exact);
+        // The fixed Π's box-kernel table decides both gates: no Hermite
+        // form, and every candidate past the rank gate is one exact
+        // dispatch.
+        assert_eq!(t.hnf_computations, 0);
+        assert_eq!(t.condition_hits.exact, t.enumerated - t.rejected_rank);
+        assert_eq!(t.condition_hits.total(), t.condition_hits.exact);
+    }
+
+    #[test]
+    fn invalid_schedule_is_infeasible_without_screening() {
+        // Π·e₃ = −3 violates condition 1, so no space map can help.
+        let alg = algorithms::matmul(4);
+        let pi = LinearSchedule::new(&[1, 1, -3]);
+        assert!(!pi.is_valid_for(&alg.deps));
+        for tb in [TieBreak::FirstFound, TieBreak::LexMax] {
+            let out = SpaceSearch::new(&alg, &pi).tie_break(tb).solve().unwrap();
+            assert_eq!(out.certification, crate::budget::Certification::Infeasible);
+            assert!(out.mapping().is_none());
+            assert_eq!(out.candidates_examined, 0);
+            assert_eq!(out.telemetry.enumerated, 0);
+        }
     }
 
     #[test]
@@ -625,18 +653,6 @@ mod tests {
         let b = SpaceSearch::new(&alg, &pi).entry_bound(2).solve().unwrap().expect_optimal("2");
         // Larger candidate pools can only find equal-or-better optima.
         assert!(b.cost <= a.cost);
-    }
-
-    #[test]
-    fn memo_off_is_bit_identical() {
-        let alg = algorithms::matmul(4);
-        let pi = LinearSchedule::new(&[1, 4, 1]);
-        let on = SpaceSearch::new(&alg, &pi).solve().unwrap().expect_optimal("on");
-        let off =
-            SpaceSearch::new(&alg, &pi).memo(false).solve().unwrap().expect_optimal("off");
-        assert_eq!(on.space, off.space);
-        assert_eq!(on.cost, off.cost);
-        assert_eq!(on.candidates_examined, off.candidates_examined);
     }
 
     #[test]
@@ -658,7 +674,7 @@ mod tests {
     }
 
     #[test]
-    fn quotient_and_parallel_match_sequential_lexmax() {
+    fn quotient_matches_full_enumeration_lexmax() {
         for (alg, pi) in [
             (algorithms::matmul(4), LinearSchedule::new(&[1, 4, 1])),
             (algorithms::transitive_closure(4), LinearSchedule::new(&[5, 1, 1])),

@@ -1,17 +1,20 @@
-//! Differential guarantees behind the unified screening core (ISSUE 9):
-//! the fast routes ported from Procedure 5.1 into `SpaceSearch` and
-//! `JointSearch` — the kernel-lattice conflict memo and the symmetry
-//! quotient under the `TieBreak::LexMax` pin — must both be
-//! bit-identical to the plain search. "Bit-identical" means: same design
-//! (space map / schedule), same cost/score, same certification, and —
-//! where the convention of `quotient_props.rs` requires it — the same
-//! `candidates_examined`: memo on/off compares examined counts too;
-//! full-vs-quotient does not (the quotient screens fewer candidates by
-//! design).
+//! Differential guarantees behind the unified screening core of
+//! `SpaceSearch` and `JointSearch`:
+//!
+//! - `SpaceSearch` screens by the fixed `Π`'s box-kernel table; it must
+//!   match an in-test reference that screens the same cost-ordered pool
+//!   with the Hermite route (`rank()`, `is_conflict_free_exact()`) —
+//!   same design, cost, certification and `candidates_examined`.
+//! - The symmetry quotient under the `TieBreak::LexMax` pin must be
+//!   bit-identical to full enumeration: same design (space map /
+//!   schedule), same cost/score, same certification, but not the same
+//!   `candidates_examined` (the quotient screens fewer candidates by
+//!   design, the convention of `quotient_props.rs`).
 
 use cfmap_core::{
-    find_valid_schedule, is_schedulable, JointCriterion, JointOptimal, JointSearch,
-    SearchOutcome, SpaceOptimalMapping, SpaceSearch, SymmetryMode, TieBreak,
+    find_valid_schedule, is_schedulable, Certification, ConflictAnalysis, JointCriterion,
+    JointOptimal, JointSearch, MappingMatrix, SearchOutcome, SpaceMap, SpaceOptimalMapping,
+    SpaceSearch, SymmetryMode, TieBreak,
 };
 use cfmap_model::{algorithms, LinearSchedule, Uda, UdaBuilder};
 use cfmap_testkit::{gen, tk_assume};
@@ -55,13 +58,9 @@ fn joint_catalogue() -> Vec<(Uda, i64, &'static str)> {
 fn assert_space_eq(
     a: &SearchOutcome<SpaceOptimalMapping>,
     b: &SearchOutcome<SpaceOptimalMapping>,
-    examined_too: bool,
     ctx: &str,
 ) {
     assert_eq!(a.certification, b.certification, "{ctx}: certification");
-    if examined_too {
-        assert_eq!(a.candidates_examined, b.candidates_examined, "{ctx}: examined");
-    }
     match (&a.mapping, &b.mapping) {
         (Some(x), Some(y)) => {
             assert_eq!(x.space, y.space, "{ctx}: space map");
@@ -74,58 +73,151 @@ fn assert_space_eq(
     }
 }
 
-fn assert_joint_eq(
-    a: &SearchOutcome<JointOptimal>,
-    b: &SearchOutcome<JointOptimal>,
-    examined_too: bool,
-    ctx: &str,
-) {
+fn assert_joint_eq(a: &SearchOutcome<JointOptimal>, b: &SearchOutcome<JointOptimal>, ctx: &str) {
     assert_eq!(a.certification, b.certification, "{ctx}: certification");
-    if examined_too {
-        assert_eq!(a.candidates_examined, b.candidates_examined, "{ctx}: examined");
-    }
     match (&a.mapping, &b.mapping) {
         (Some(x), Some(y)) => {
             assert_eq!(x.space, y.space, "{ctx}: space map");
             assert_eq!(x.schedule, y.schedule, "{ctx}: schedule");
             assert_eq!(x.total_time, y.total_time, "{ctx}: time");
             assert_eq!(x.space_cost, y.space_cost, "{ctx}: space cost");
-            if examined_too {
-                assert_eq!(x.space_maps_tried, y.space_maps_tried, "{ctx}: maps tried");
-            }
         }
         (None, None) => {}
         _ => panic!("{ctx}: mapping presence diverged"),
     }
 }
 
-/// Satellite acceptance (memo): disabling the kernel-lattice conflict
-/// memo changes nothing observable under either tie-break, on every
-/// catalogue problem — the memo is a pure cache, never a semantic knob.
-#[test]
-fn space_search_memo_off_is_bit_identical_on_catalogue() {
-    for (alg, pi, name) in space_catalogue() {
-        for tb in [TieBreak::FirstFound, TieBreak::LexMax] {
-            let on = SpaceSearch::new(&alg, &pi).tie_break(tb).solve().unwrap();
-            let off = SpaceSearch::new(&alg, &pi).tie_break(tb).memo(false).solve().unwrap();
-            assert_space_eq(&on, &off, true, &format!("{name} {tb:?} memo on/off"));
+/// The `SpaceSearch` candidate pool recomputed independently: every row
+/// with entries in `[−bound, bound]` whose first nonzero entry is
+/// positive, lex-ascending.
+fn canonical_rows(n: usize, bound: i64) -> Vec<Vec<i64>> {
+    fn rec(n: usize, bound: i64, cur: &mut Vec<i64>, out: &mut Vec<Vec<i64>>) {
+        if cur.len() == n {
+            if cur.iter().find(|&&x| x != 0).is_some_and(|&x| x > 0) {
+                out.push(cur.clone());
+            }
+            return;
         }
+        for v in -bound..=bound {
+            cur.push(v);
+            rec(n, bound, cur, out);
+            cur.pop();
+        }
+    }
+    let mut out = Vec::new();
+    rec(n, bound, &mut Vec::new(), &mut out);
+    out
+}
+
+/// VLSI cost from first principles: the product of per-row spans
+/// `1 + Σ|s_i|μ_i` plus the wire length `Σ‖S·d̄‖₁`.
+fn reference_cost(alg: &Uda, rows: &[Vec<i64>]) -> i64 {
+    let mu = alg.index_set.mu();
+    let mut sites = 1i64;
+    for r in rows {
+        sites *= 1 + r.iter().zip(mu).map(|(&s, &m)| s.abs() * m).sum::<i64>();
+    }
+    let mut wires = 0i64;
+    for d in alg.deps.columns_i64() {
+        for r in rows {
+            wires += r.iter().zip(&d).map(|(&s, &x)| s * x).sum::<i64>().abs();
+        }
+    }
+    sites + wires
+}
+
+/// What a space search reports: certification, candidates examined, and
+/// the winner's rows and cost.
+type SpaceVerdict = (Certification, u64, Option<(Vec<Vec<i64>>, i64)>);
+
+/// `SpaceSearch` without its table route: the same pool — 1-row maps, or
+/// lex-ordered pairs of distinct rows of rank 2 — ordered by cost (a
+/// stable sort, so lex-ascending within a cost), each candidate screened
+/// by one Hermite form of `[S; Π]` and the exact lattice test.
+/// `FirstFound` stops at the first acceptance, `LexMax` at the end of its
+/// cost level and keeps the last acceptance.
+fn reference_space_search(
+    alg: &Uda,
+    pi: &LinearSchedule,
+    rows: usize,
+    bound: i64,
+    tie_break: TieBreak,
+) -> SpaceVerdict {
+    if !pi.is_valid_for(&alg.deps) {
+        return (Certification::Infeasible, 0, None);
+    }
+    let pool = canonical_rows(alg.dim(), bound);
+    let mut candidates: Vec<Vec<Vec<i64>>> = Vec::new();
+    if rows == 1 {
+        candidates.extend(pool.iter().map(|r| vec![r.clone()]));
+    } else {
+        for (a, r1) in pool.iter().enumerate() {
+            for r2 in &pool[a + 1..] {
+                let n = r1.len();
+                let rank2 = (0..n)
+                    .any(|i| (i + 1..n).any(|j| r1[i] * r2[j] != r1[j] * r2[i]));
+                if rank2 {
+                    candidates.push(vec![r1.clone(), r2.clone()]);
+                }
+            }
+        }
+    }
+    candidates.sort_by_key(|c| reference_cost(alg, c));
+    let mut examined = 0u64;
+    let mut best: Option<(Vec<Vec<i64>>, i64)> = None;
+    for rows in candidates {
+        let cost = reference_cost(alg, &rows);
+        if best.as_ref().is_some_and(|(_, c)| cost > *c) {
+            break;
+        }
+        examined += 1;
+        let refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
+        let mapping = MappingMatrix::new(SpaceMap::from_rows(&refs), pi.clone());
+        let analysis = ConflictAnalysis::new(&mapping, &alg.index_set);
+        if analysis.rank() == mapping.k() && analysis.is_conflict_free_exact() {
+            best = Some((rows, cost));
+            if tie_break == TieBreak::FirstFound {
+                break;
+            }
+        }
+    }
+    let certification =
+        if best.is_some() { Certification::Optimal } else { Certification::Infeasible };
+    (certification, examined, best)
+}
+
+/// Run `SpaceSearch` and the reference on one problem and compare them.
+fn assert_matches_reference(alg: &Uda, pi: &LinearSchedule, rows: usize, ctx: &str) {
+    let bound = if rows == 1 { 2 } else { 1 };
+    for tb in [TieBreak::FirstFound, TieBreak::LexMax] {
+        let out = SpaceSearch::new(alg, pi)
+            .rows(rows)
+            .entry_bound(bound)
+            .tie_break(tb)
+            .solve()
+            .unwrap();
+        let design = out.mapping.as_ref().map(|m| {
+            let rows = (0..m.space.array_dims())
+                .map(|r| m.space.as_mat().row(r).to_i64s().unwrap())
+                .collect();
+            (rows, m.cost)
+        });
+        let got = (out.certification, out.candidates_examined, design);
+        let want = reference_space_search(alg, pi, rows, bound, tb);
+        assert_eq!(got, want, "{ctx}: {rows}-row {tb:?}");
     }
 }
 
+/// The table route against the Hermite-route reference on every
+/// catalogue problem, 1- and 2-row, both tie-breaks, plus an invalid
+/// schedule.
 #[test]
-fn joint_search_memo_off_is_bit_identical_on_catalogue() {
-    for (alg, cap, name) in joint_catalogue() {
-        for tb in [TieBreak::FirstFound, TieBreak::LexMax] {
-            let on =
-                JointSearch::new(&alg).tie_break(tb).max_objective(cap).solve().unwrap();
-            let off = JointSearch::new(&alg)
-                .tie_break(tb)
-                .max_objective(cap)
-                .memo(false)
-                .solve()
-                .unwrap();
-            assert_joint_eq(&on, &off, true, &format!("{name} {tb:?} memo on/off"));
+fn space_search_matches_hnf_reference_on_catalogue() {
+    let mut cases = space_catalogue();
+    cases.push((algorithms::matmul(4), LinearSchedule::new(&[1, 1, -3]), "matmul invalid Π"));
+    for (alg, pi, name) in &cases {
+        for rows in [1, 2] {
+            assert_matches_reference(alg, pi, rows, name);
         }
     }
 }
@@ -133,7 +225,7 @@ fn joint_search_memo_off_is_bit_identical_on_catalogue() {
 /// Tentpole acceptance (quotient): quotiented enumeration under the
 /// LexMax pin matches full enumeration on the design.
 #[test]
-fn space_search_quotient_and_shards_match_sequential_on_catalogue() {
+fn space_search_quotient_matches_full_enumeration_on_catalogue() {
     for (alg, pi, name) in space_catalogue() {
         let full =
             SpaceSearch::new(&alg, &pi).tie_break(TieBreak::LexMax).solve().unwrap();
@@ -142,12 +234,12 @@ fn space_search_quotient_and_shards_match_sequential_on_catalogue() {
             .symmetry(SymmetryMode::Quotient)
             .solve()
             .unwrap();
-        assert_space_eq(&full, &quot, false, &format!("{name} full vs quotient"));
+        assert_space_eq(&full, &quot, &format!("{name} full vs quotient"));
     }
 }
 
 #[test]
-fn joint_search_quotient_and_shards_match_sequential_on_catalogue() {
+fn joint_search_quotient_matches_full_enumeration_on_catalogue() {
     for (alg, cap, name) in joint_catalogue() {
         for criterion in [JointCriterion::TimeThenSpace, JointCriterion::SpaceThenTime] {
             let full = JointSearch::new(&alg)
@@ -163,24 +255,26 @@ fn joint_search_quotient_and_shards_match_sequential_on_catalogue() {
                 .max_objective(cap)
                 .solve()
                 .unwrap();
-            assert_joint_eq(&full, &quot, false, &format!("{name} {criterion:?} quotient"));
+            assert_joint_eq(&full, &quot, &format!("{name} {criterion:?} quotient"));
         }
     }
 }
 
-/// Exact-route memo accounting: on an exact search every condition
-/// dispatch is answered by the memo (hit or miss) — the telemetry
-/// invariant the /metrics gauges are built on.
+/// Table-route accounting: the fixed `Π`'s box-kernel table decides
+/// both gates, so no Hermite form is computed and every candidate past
+/// the rank gate is one exact dispatch — on every catalogue problem, 1-
+/// and 2-row.
 #[test]
-fn memo_accounts_for_every_exact_dispatch() {
-    let alg = algorithms::matmul(4);
-    let pi = LinearSchedule::new(&[1, 4, 1]);
-    let out = SpaceSearch::new(&alg, &pi).solve().unwrap();
-    let t = &out.telemetry;
-    assert_eq!(t.memo_hits + t.memo_misses, t.condition_hits.exact);
-    let off = SpaceSearch::new(&alg, &pi).memo(false).solve().unwrap();
-    assert_eq!(off.telemetry.memo_hits, 0);
-    assert_eq!(off.telemetry.memo_misses, 0);
+fn table_route_accounts_for_every_exact_dispatch() {
+    for (alg, pi, name) in space_catalogue() {
+        for (rows, bound) in [(1, 2), (2, 1)] {
+            let out = SpaceSearch::new(&alg, &pi).rows(rows).entry_bound(bound).solve().unwrap();
+            let t = &out.telemetry;
+            assert_eq!(t.hnf_computations, 0, "{name} {rows}-row: {t:?}");
+            assert_eq!(t.condition_hits.exact, t.enumerated - t.rejected_rank, "{name}: {t:?}");
+            assert_eq!(t.condition_hits.total(), t.condition_hits.exact, "{name}: {t:?}");
+        }
+    }
 }
 
 cfmap_testkit::props! {
@@ -188,8 +282,9 @@ cfmap_testkit::props! {
 
     /// Randomized differential, mirroring `quotient_props`: on generated
     /// 3-D problems (identity deps plus two extra columns — mostly
-    /// trivial stabilizers, some symmetric), every fast route agrees
-    /// with the plain sequential search for both searches.
+    /// trivial stabilizers, some symmetric), `SpaceSearch` matches the
+    /// Hermite-route reference, and the quotient agrees with full
+    /// enumeration for both searches.
     fn fast_routes_match_on_generated_problems(
         mu in gen::vec(2i64..=3, 3),
         extra in gen::vec(-2i64..=2, 6),
@@ -205,10 +300,8 @@ cfmap_testkit::props! {
             .build();
         tk_assume!(is_schedulable(&alg));
         let pi = find_valid_schedule(&alg).unwrap();
-        for tb in [TieBreak::FirstFound, TieBreak::LexMax] {
-            let on = SpaceSearch::new(&alg, &pi).tie_break(tb).solve().unwrap();
-            let off = SpaceSearch::new(&alg, &pi).tie_break(tb).memo(false).solve().unwrap();
-            assert_space_eq(&on, &off, true, "generated memo");
+        for rows in [1, 2] {
+            assert_matches_reference(&alg, &pi, rows, "generated");
         }
         let full = SpaceSearch::new(&alg, &pi).tie_break(TieBreak::LexMax).solve().unwrap();
         let quot = SpaceSearch::new(&alg, &pi)
@@ -216,7 +309,7 @@ cfmap_testkit::props! {
             .symmetry(SymmetryMode::Quotient)
             .solve()
             .unwrap();
-        assert_space_eq(&full, &quot, false, "generated quotient");
+        assert_space_eq(&full, &quot, "generated quotient");
 
         let jfull = JointSearch::new(&alg)
             .tie_break(TieBreak::LexMax)
@@ -229,13 +322,6 @@ cfmap_testkit::props! {
             .max_objective(12)
             .solve()
             .unwrap();
-        assert_joint_eq(&jfull, &jquot, false, "generated joint quotient");
-        let joff = JointSearch::new(&alg)
-            .tie_break(TieBreak::LexMax)
-            .max_objective(12)
-            .memo(false)
-            .solve()
-            .unwrap();
-        assert_joint_eq(&jfull, &joff, true, "generated joint memo");
+        assert_joint_eq(&jfull, &jquot, "generated joint quotient");
     }
 }

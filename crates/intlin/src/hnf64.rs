@@ -10,19 +10,14 @@
 //!   overflow-checked), reusing a caller-provided [`HnfWorkspace`] so a
 //!   screening loop performs no per-candidate allocation beyond the final
 //!   [`Hnf`] assembly.
-//! * [`hnf_prefix_i64`] / [`HnfPrefix::complete`] /
-//!   [`HnfPrefix::complete_rows`] — incremental screening for a stack
-//!   `[F; R]` whose leading block `F` is fixed across the whole
-//!   enumeration (the space rows `S` of `T = [S; Π]` in Procedure 5.1;
-//!   the fixed `Π` row of the permuted stack `[Π; S]` in the space
-//!   search): eliminate `F` once, then per candidate only transform and
-//!   reduce the varying trailing rows. Column operations for trailing
-//!   rows touch only columns ≥ rank(F), which are zero in the eliminated
-//!   `F` block, so the result is bit-identical to running the full
-//!   elimination from scratch — including for *multiple* trailing rows,
-//!   because every column operation of the from-scratch elimination acts
-//!   on whole columns (later trailing rows see earlier ones' operations
-//!   through the shared buffer, exactly as in the full run).
+//! * [`hnf_prefix_i64`] / [`HnfPrefix::complete`] — incremental
+//!   screening for a stack `[S; π]` whose leading block `S` is fixed
+//!   across the whole enumeration (the space rows of `T = [S; Π]` in
+//!   Procedure 5.1's HNF route): eliminate `S` once, then per candidate
+//!   only transform and reduce the varying last row. Its column
+//!   operations touch only columns ≥ rank(S), which are zero in the
+//!   eliminated `S` block, so the result is bit-identical to running the
+//!   full elimination from scratch.
 //!
 //! On any overflow every routine returns `None` and the caller falls back
 //! to [`crate::hnf::hermite_normal_form_bignum`]; the fallback frequency
@@ -237,37 +232,18 @@ impl HnfPrefix {
     /// (count nothing — the caller's full-HNF retry records its own
     /// outcome).
     pub fn complete(&self, pi: &[i64], ws: &mut HnfWorkspace) -> Option<Hnf> {
-        self.complete_rows(&[pi], ws)
-    }
-
-    /// Complete the HNF of `[F; rows]` for any number of candidate
-    /// trailing rows, continuing the saved elimination state of the fixed
-    /// block `F`. Bit-identical to the from-scratch elimination of the
-    /// stacked matrix: eliminating `F` never inspects the trailing rows
-    /// but *does* transform them (column operations act on whole columns,
-    /// which is exactly right-multiplication by `U_F`), and because all
-    /// trailing rows share the workspace buffer, the column operations
-    /// performed while reducing one trailing row reach the later ones —
-    /// the same data flow as the full run.
-    ///
-    /// Counts a fast-path HNF on success; on overflow returns `None`
-    /// (count nothing — the caller's full-HNF retry records its own
-    /// outcome).
-    pub fn complete_rows(&self, rows: &[&[i64]], ws: &mut HnfWorkspace) -> Option<Hnf> {
         let n = self.n;
-        let k = self.k_s + rows.len();
+        assert_eq!(pi.len(), n, "candidate row dimension mismatch");
+        let k = self.k_s + 1;
         ws.h.clear();
         ws.h.extend_from_slice(&self.h_s);
-        // Each trailing row after the F eliminations is row · U_F.
-        for row in rows {
-            assert_eq!(row.len(), n, "candidate row dimension mismatch");
-            for c in 0..n {
-                let mut acc: i128 = 0;
-                for (r, &p) in row.iter().enumerate() {
-                    acc = acc.checked_add(p as i128 * self.u_s[r * n + c] as i128)?;
-                }
-                ws.h.push(i64::try_from(acc).ok()?);
+        // The last row after the S eliminations is pi · U_S.
+        for c in 0..n {
+            let mut acc: i128 = 0;
+            for (r, &p) in pi.iter().enumerate() {
+                acc = acc.checked_add(p as i128 * self.u_s[r * n + c] as i128)?;
             }
+            ws.h.push(i64::try_from(acc).ok()?);
         }
         ws.u.clear();
         ws.u.extend_from_slice(&self.u_s);
@@ -422,40 +398,6 @@ mod tests {
             let mut t_v = s_v.clone();
             t_v.extend_from_slice(&pi);
             let t = mat_from(&t_v, 3, 5);
-            assert_same_hnf(&inc, &hermite_normal_form_bignum(&t));
-        }
-
-        /// Differential: multi-trailing-row completion equals the full
-        /// HNF of the stacked matrix — the space-search shape, where the
-        /// fixed block is the Π row and the trailing rows are a varying
-        /// 2-row space map.
-        fn prefix_matches_full_multirow_3x5(
-            f_v in cfmap_testkit::gen::vec(-9i64..=9, 5),
-            r_v in cfmap_testkit::gen::vec(-9i64..=9, 10),
-        ) {
-            let f = mat_from(&f_v, 1, 5);
-            let prefix = hnf_prefix_i64(&f).unwrap();
-            let mut ws = HnfWorkspace::new();
-            let rows: Vec<&[i64]> = vec![&r_v[..5], &r_v[5..]];
-            let inc = prefix.complete_rows(&rows, &mut ws).expect("small rows fit i64");
-            let mut t_v = f_v.clone();
-            t_v.extend_from_slice(&r_v);
-            let t = mat_from(&t_v, 3, 5);
-            assert_same_hnf(&inc, &hermite_normal_form_bignum(&t));
-        }
-
-        fn prefix_matches_full_multirow_4x4(
-            f_v in cfmap_testkit::gen::vec(-9i64..=9, 8),
-            r_v in cfmap_testkit::gen::vec(-9i64..=9, 8),
-        ) {
-            let f = mat_from(&f_v, 2, 4);
-            let prefix = hnf_prefix_i64(&f).unwrap();
-            let mut ws = HnfWorkspace::new();
-            let rows: Vec<&[i64]> = vec![&r_v[..4], &r_v[4..]];
-            let inc = prefix.complete_rows(&rows, &mut ws).expect("small rows fit i64");
-            let mut t_v = f_v.clone();
-            t_v.extend_from_slice(&r_v);
-            let t = mat_from(&t_v, 4, 4);
             assert_same_hnf(&inc, &hermite_normal_form_bignum(&t));
         }
 

@@ -26,9 +26,8 @@ use crate::wire::{
     ParetoResponse,
 };
 use cfmap_core::metrics::{
-    Counter, Histogram, Registry, CONFLICT_MEMO_HITS, CONFLICT_MEMO_MISSES,
-    DEFAULT_LATENCY_BUCKETS_US, EXACT_CONFLICT_TESTS, HNF_COMPUTATIONS, HYBRID_ESCALATIONS,
-    ORBITS_PRUNED, PARETO_DOMINATED_PRUNED,
+    Counter, Histogram, Registry, DEFAULT_LATENCY_BUCKETS_US, EXACT_CONFLICT_TESTS,
+    HNF_COMPUTATIONS, HYBRID_ESCALATIONS, ORBITS_PRUNED, PARETO_DOMINATED_PRUNED,
 };
 use cfmap_core::budget::clock;
 use cfmap_core::{
@@ -155,32 +154,6 @@ pub struct SearchStats {
     pub fallback_screened: u64,
 }
 
-/// How the engine's searches exploit structure: whether to quotient the
-/// candidate space by the problem's symmetry stabilizer, and whether an
-/// exploding enumeration may escalate to the ILP decomposition
-/// mid-search. Both default on — quotienting is bit-identical under the
-/// engine's `TieBreak::LexMax` pin, and hybrid answers are tagged with
-/// [`SolveRoute::HybridIlp`] so they never feed the family fitter.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SolverPolicy {
-    /// Enumerate one representative per stabilizer orbit.
-    pub quotient: bool,
-    /// Escalate to the ILP route when level growth projects past the
-    /// policy's candidate horizon (`None` disables escalation).
-    pub hybrid: Option<HybridPolicy>,
-    /// Answer exact conflict verdicts from the process-wide
-    /// kernel-lattice memo (distinct candidates whose saturated kernel
-    /// lattices coincide over the same index box share one verdict).
-    /// Bit-identical either way; off is chiefly for baselines.
-    pub memo: bool,
-}
-
-impl Default for SolverPolicy {
-    fn default() -> SolverPolicy {
-        SolverPolicy { quotient: true, hybrid: Some(HybridPolicy::default()), memo: true }
-    }
-}
-
 /// The shared solver state behind every worker thread.
 pub struct Engine {
     cache: Arc<ShardedLruCache<CacheKey, CachedOutcome>>,
@@ -209,8 +182,6 @@ pub struct Engine {
     /// passes) winds all in-flight solves down within one candidate's
     /// latency.
     cancel: CancelToken,
-    /// Structural search knobs (symmetry quotient, hybrid ILP escape).
-    policy: SolverPolicy,
 }
 
 impl Engine {
@@ -290,20 +261,6 @@ impl Engine {
             "Mid-search escalations from enumeration to the ILP route",
             &[],
             || i64::try_from(HYBRID_ESCALATIONS.get()).unwrap_or(i64::MAX),
-        );
-        // Kernel-lattice conflict memo health: hits > 0 proves candidates
-        // are sharing exact verdicts across coinciding kernel lattices.
-        metrics.gauge_fn(
-            "cfmap_conflict_memo_hits_total",
-            "Exact conflict verdicts answered from the kernel-lattice memo",
-            &[],
-            || i64::try_from(CONFLICT_MEMO_HITS.get()).unwrap_or(i64::MAX),
-        );
-        metrics.gauge_fn(
-            "cfmap_conflict_memo_misses_total",
-            "Exact conflict verdicts computed and recorded in the memo",
-            &[],
-            || i64::try_from(CONFLICT_MEMO_MISSES.get()).unwrap_or(i64::MAX),
         );
         // Exact-arithmetic fast-path health: spills should stay at zero
         // for paper-sized problems, and the i64 HNF kernel should carry
@@ -413,16 +370,7 @@ impl Engine {
             fallback,
             deadline_expired,
             cancel: CancelToken::new(),
-            policy: SolverPolicy::default(),
         }
-    }
-
-    /// Override the structural search knobs (defaults: quotient on,
-    /// hybrid escalation on). Chiefly for tests and experiments that
-    /// need the un-quotiented or enumeration-only behaviour.
-    pub fn with_solver_policy(mut self, policy: SolverPolicy) -> Engine {
-        self.policy = policy;
-        self
     }
 
     /// The engine-wide cancellation token (cloning shares the flag).
@@ -727,7 +675,11 @@ impl Engine {
         };
         let tracks_bandwidth = model.tracks_bandwidth();
         let probe = |m: &MappingMatrix| peak_link_load(&solve_alg, m);
-        let mut search = ParetoSearch::new(&solve_alg).resources(model).memo(self.policy.memo);
+        // Quotienting is bit-identical: the frontier keeps the
+        // lex-greatest witness per vector, always an orbit representative.
+        let mut search = ParetoSearch::new(&solve_alg)
+            .resources(model)
+            .symmetry(SymmetryMode::Quotient);
         if let Some(s) = &solve_space {
             search = search.fixed_space(s);
         }
@@ -739,9 +691,6 @@ impl Engine {
         }
         if let Some(b) = req.entry_bound {
             search = search.entry_bound(b);
-        }
-        if self.policy.quotient {
-            search = search.symmetry(SymmetryMode::Quotient);
         }
         if tracks_bandwidth {
             search = search.bandwidth_probe(&probe);
@@ -829,7 +778,7 @@ impl Engine {
         }
         let started = Instant::now();
         let (outcome, telemetry, route) =
-            solve_canonical(&canon.problem, req, deadline, &self.cancel, &self.policy)?;
+            solve_canonical(&canon.problem, req, deadline, &self.cancel)?;
         self.record_search(&telemetry, started.elapsed());
         // A search wound down by engine-wide cancellation (drain) is not
         // the request's true answer — never cache it.
@@ -894,7 +843,6 @@ fn solve_canonical(
     req: &MapRequest,
     deadline: Option<Deadline>,
     cancel: &CancelToken,
-    policy: &SolverPolicy,
 ) -> Result<(CachedOutcome, SearchTelemetry, SolveRoute), CfmapError> {
     let alg = problem.uda("canonical");
     let space = problem.space_map();
@@ -912,17 +860,15 @@ fn solve_canonical(
     // objective level — a μ-stable canonical representative, so the sizes
     // a family accumulates lie on one affine-in-μ template (FirstFound's
     // winner can flip between enumeration-order neighbours as μ grows).
+    // Under that pin the symmetry quotient is bit-identical to full
+    // enumeration, and a hybrid ILP answer is tagged
+    // `SolveRoute::HybridIlp`, so it never feeds the family fitter.
     let mut proc = Procedure51::new(&alg, &space)
         .tie_break(TieBreak::LexMax)
+        .symmetry(SymmetryMode::Quotient)
+        .hybrid(HybridPolicy::default())
         .budget(budget)
-        .memo(policy.memo)
         .cancel_token(cancel);
-    if policy.quotient {
-        proc = proc.symmetry(SymmetryMode::Quotient);
-    }
-    if let Some(hybrid) = policy.hybrid {
-        proc = proc.hybrid(hybrid);
-    }
     if let Some(cap) = req.cap {
         proc = proc.max_objective(cap);
     }
@@ -1428,54 +1374,50 @@ mod tests {
         // Symmetry-quotient / hybrid-route gauges are exported.
         assert!(text.contains("cfmap_orbits_pruned_total"), "{text}");
         assert!(text.contains("cfmap_hybrid_escalations_total"), "{text}");
-        // Kernel-lattice conflict memo gauges are exported.
-        assert!(text.contains("cfmap_conflict_memo_hits_total"), "{text}");
-        assert!(text.contains("cfmap_conflict_memo_misses_total"), "{text}");
     }
 
     #[test]
     fn hybrid_optimal_never_feeds_the_family_catalogue() {
-        // An absurd candidate horizon makes every matmul solve escalate
-        // to the ILP route; the answer is still Optimal (the ILP proves
-        // the same objective) but must not become a family observation —
-        // the ILP makes no LexMax tie-break promise, and family
-        // templates must lie on enumeration representatives.
-        let engine = Engine::new(64, 4).with_solver_policy(SolverPolicy {
-            hybrid: Some(HybridPolicy { candidate_horizon: 1, min_levels: 1 }),
-            ..SolverPolicy::default()
-        });
-        let resp = engine.resolve(&matmul_request());
+        // Matmul μ = 70 on S = [1, 1, −1] projects past the default
+        // 250k-candidate horizon and escalates to the ILP route; the
+        // answer is still Optimal (the ILP proves the same objective) but
+        // must not become a family observation — the ILP makes no LexMax
+        // tie-break promise, and family templates must lie on enumeration
+        // representatives.
+        let engine = Engine::new(64, 4);
+        let escalations = HYBRID_ESCALATIONS.get();
+        let resp = engine.resolve(&MapRequest::named("matmul", 70, vec![vec![1, 1, -1]]));
         let MapResponse::Ok(a) = &resp else { panic!("expected ok, got {resp:?}") };
         assert_eq!(a.certification, Certification::Optimal);
-        assert_eq!(a.total_time, 25, "ILP proves the enumerative optimum");
+        assert_eq!(a.total_time, 70 * 72 + 1, "ILP proves the enumerative optimum");
+        assert!(HYBRID_ESCALATIONS.get() > escalations, "μ = 70 must take the ILP route");
         assert_eq!(
             engine.family_stats().observing,
             0,
             "an ILP-escalated optimum must never be observed by the family fitter"
         );
-        // The identical request through a default (enumeration-route)
-        // engine does feed the catalogue — the gate is the route, not
-        // the problem.
-        let plain = Engine::new(64, 4);
-        assert!(matches!(plain.resolve(&matmul_request()), MapResponse::Ok(_)));
-        assert_eq!(plain.family_stats().observing, 1);
+        // μ = 4 stays on the enumeration route and does feed the
+        // catalogue — the gate is the route, not the problem.
+        assert!(matches!(engine.resolve(&matmul_request()), MapResponse::Ok(_)));
+        assert_eq!(engine.family_stats().observing, 1);
     }
 
     #[test]
     fn quotient_policy_prunes_identity_and_matches_full_search() {
         // identity n=4 has a nontrivial stabilizer (S_3 on the unpinned
-        // axes); the default engine policy quotients it, and the answer
-        // must match the unquotiented engine's bit for bit.
+        // axes); the engine quotients it, and the answer must match
+        // Procedure 5.1's full LexMax enumeration bit for bit.
         let req = MapRequest::named("identity4", 2, vec![vec![1, 0, 0, 0]]);
-        let quotiented = Engine::new(64, 4);
-        let full = Engine::new(64, 4)
-            .with_solver_policy(SolverPolicy { quotient: false, hybrid: None, memo: true });
+        let engine = Engine::new(64, 4);
         let before = ORBITS_PRUNED.get();
-        let q = quotiented.resolve(&req);
+        let q = engine.resolve(&req);
         let MapResponse::Ok(q) = &q else { panic!("expected ok, got {q:?}") };
-        let f = full.resolve(&req);
-        let MapResponse::Ok(f) = &f else { panic!("expected ok, got {f:?}") };
-        assert_eq!(q.schedule, f.schedule, "quotient must be bit-identical");
+        let alg = algorithms::identity_cube(4, 2);
+        let space = SpaceMap::row(&[1, 0, 0, 0]);
+        let full = Procedure51::new(&alg, &space).tie_break(TieBreak::LexMax).solve().unwrap();
+        assert_eq!(full.certification, Certification::Optimal);
+        let f = full.mapping.as_ref().expect("identity4 is feasible");
+        assert_eq!(q.schedule, f.schedule.as_slice(), "quotient must be bit-identical");
         assert_eq!(q.objective, f.objective);
         assert_eq!(q.certification, Certification::Optimal);
         assert!(
@@ -1483,10 +1425,10 @@ mod tests {
             "the quotiented engine must skip non-representatives"
         );
         assert!(
-            q.candidates_examined < f.candidates_examined,
+            q.candidates_examined < full.candidates_examined,
             "quotient must shrink the examined count: {} vs {}",
             q.candidates_examined,
-            f.candidates_examined
+            full.candidates_examined
         );
     }
 

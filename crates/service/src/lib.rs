@@ -74,7 +74,7 @@ pub mod snapshot;
 pub mod wire;
 
 pub use cache::{CacheStats, ShardedLruCache};
-pub use engine::{CacheKey, CachedOutcome, Engine, SolverPolicy};
+pub use engine::{CacheKey, CachedOutcome, Engine};
 pub use family_store::{FamilyStats, FamilyStore};
 pub use snapshot::Snapshot;
 pub use router::{CfmapRouter, Circuit, RouterConfig};

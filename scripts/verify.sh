@@ -114,12 +114,12 @@ ORBITS=$(printf '%s\n' "$POST_METRICS" \
     || { echo "cfmap_orbits_pruned_total = '${ORBITS:-missing}', want > 0"; exit 1; }
 # Screening-route gate: Procedure 5.1 decides the rank and conflict gates
 # of these small boxes from its per-search box-kernel table, so the /map
-# solves above ran no exact lattice test and left the kernel-lattice memo
-# untouched — all on the i64 fast path (no bignum spills).
+# solves above ran no exact lattice test and computed no Hermite form —
+# all on the i64 fast path (no bignum spills).
 printf '%s\n' "$POST_METRICS" | grep -q '^cfmap_core_exact_conflict_tests_total 0$' \
     || { echo "exact lattice tests after the /map solves, want 0"; exit 1; }
-printf '%s\n' "$POST_METRICS" | grep -q '^cfmap_conflict_memo_misses_total 0$' \
-    || { echo "conflict-memo misses after the /map solves, want 0"; exit 1; }
+printf '%s\n' "$POST_METRICS" | grep -q '^cfmap_core_hnf_computations_total 0$' \
+    || { echo "Hermite forms after the /map solves, want 0"; exit 1; }
 printf '%s\n' "$POST_METRICS" | grep -q '^cfmap_intlin_bigint_spills_total 0$' \
     || { echo "bigint spills after the quotient/table solves, want 0"; exit 1; }
 # Pareto gate (ISSUE 10): the fixed-space frontier for matmul mu=4 on
@@ -149,16 +149,17 @@ printf '%s\n' "$PARETO_METRICS" | grep -q '^cfmap_pareto_solves_total 1$' \
 printf '%s\n' "$PARETO_METRICS" \
     | grep -q 'cfmapd_requests_total{route="/pareto",status="200"} 1' \
     || { echo "/metrics is missing the /pareto request counter"; exit 1; }
-# Conflict-memo gate: a fixed-schedule frontier searches space
-# maps (SpaceSearch), which still routes exact verdicts through the
-# kernel-lattice memo — and must find repeats there.
+# Fixed-schedule table gate: a fixed-schedule frontier searches space
+# maps, screened by dot products against the box-kernel table of its Π —
+# no Hermite form and no exact lattice test, here or in any solve above.
 "$CFMAP" client --addr "$ADDR" --post /pareto \
     --body '{"algorithm":"matmul","mu":[4],"schedule":[1,4,1]}' | grep -q '"status":"ok"' \
     || { echo "fixed-schedule /pareto did not answer ok"; exit 1; }
-MEMO_HITS=$("$CFMAP" client --addr "$ADDR" --get /metrics \
-    | sed -n 's/^cfmap_conflict_memo_hits_total \([0-9]*\)$/\1/p')
-[ "${MEMO_HITS:-0}" -gt 0 ] \
-    || { echo "cfmap_conflict_memo_hits_total = '${MEMO_HITS:-missing}', want > 0"; exit 1; }
+PI_METRICS=$("$CFMAP" client --addr "$ADDR" --get /metrics)
+printf '%s\n' "$PI_METRICS" | grep -q '^cfmap_core_hnf_computations_total 0$' \
+    || { echo "Hermite forms after the fixed-schedule /pareto, want 0"; exit 1; }
+printf '%s\n' "$PI_METRICS" | grep -q '^cfmap_core_exact_conflict_tests_total 0$' \
+    || { echo "exact lattice tests after the fixed-schedule /pareto, want 0"; exit 1; }
 exec 9>&-          # close stdin: the daemon drains and exits
 wait "$CFMAPD_PID" || { echo "cfmapd did not exit cleanly"; exit 1; }
 CFMAPD_PID=
@@ -315,13 +316,16 @@ grep -q 'hybrid-ilp' "/tmp/cfmap_bench_smoke_$$.json" \
     || { echo "E15 shows no enumeration→ILP crossover"; exit 1; }
 # E16 gates: the smoke run must stay under a wall-clock ceiling (the
 # smoke instances are sized for seconds, not the full bit-level boxes),
-# and the fast route must actually hit the conflict memo.
+# and every row must screen on the box-kernel table route: exact conflict
+# dispatches, but no Hermite form.
 [ "$SMOKE_ELAPSED" -le 90 ] \
     || { echo "bench smoke took ${SMOKE_ELAPSED}s, ceiling is 90s"; exit 1; }
-E16_HITS=$(sed -n 's/.*"id":"E16".*/&/p' "/tmp/cfmap_bench_smoke_$$.json" \
-    | sed -n 's/.*"memo_hits":\([0-9]*\).*/\1/p')
-[ "${E16_HITS:-0}" -gt 0 ] \
-    || { echo "E16 telemetry shows no conflict-memo hits (got '${E16_HITS:-missing}')"; exit 1; }
+E16_LINE=$(sed -n 's/.*"id":"E16".*/&/p' "/tmp/cfmap_bench_smoke_$$.json")
+printf '%s\n' "$E16_LINE" | grep -q '"hnf_computations":0[,}]' \
+    || { echo "E16 telemetry shows Hermite forms, want 0"; exit 1; }
+E16_EXACT=$(printf '%s\n' "$E16_LINE" | sed -n 's/.*"condition_exact":\([0-9]*\).*/\1/p')
+[ "${E16_EXACT:-0}" -gt 0 ] \
+    || { echo "E16 telemetry shows no exact dispatches (got '${E16_EXACT:-missing}')"; exit 1; }
 rm -f "/tmp/cfmap_bench_smoke_$$.json"
 
 echo "verify: OK"

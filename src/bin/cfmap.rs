@@ -306,8 +306,6 @@ fn print_trace(tel: &cfmap::core::SearchTelemetry, elapsed: Duration) {
         ("hnf computations", tel.hnf_computations),
         ("fallback screened", tel.fallback_screened),
         ("orbits pruned", tel.orbits_pruned),
-        ("memo hits", tel.memo_hits),
-        ("memo misses", tel.memo_misses),
     ] {
         println!("  {label:<22} : {v}");
     }

@@ -211,3 +211,13 @@ fn unlimited_budget_certifies_optimal() {
     assert_eq!(code, 0);
     assert!(stdout.contains("certified : optimal"), "{stdout}");
 }
+
+#[test]
+fn space_opt_finds_nothing_under_an_invalid_schedule() {
+    // Π·e₃ = −3 violates condition 1, so no space map can certify a
+    // design: exit 1 (infeasible) and no `certified` line.
+    let (code, stdout, stderr) =
+        cfmap_code(&["space-opt", "--alg", "matmul", "--mu", "4", "--pi", "1,1,-3"]);
+    assert_eq!(code, 1, "stdout: {stdout}\nstderr: {stderr}");
+    assert!(!stdout.contains("certified"), "{stdout}");
+}

@@ -15,11 +15,10 @@
 //!    makespan, and (when tracked) exactly the advertised peak link
 //!    load, within the requested budget.
 //! 3. **Determinism** — identical frontiers across
-//!    `SymmetryMode::Quotient` on/off and conflict-memo on/off; and
-//!    the classic-search corners: the time corner is bit-identical to
-//!    `Procedure51` under `TieBreak::LexMax`, the space corner to
-//!    `SpaceSearch` under `TieBreak::LexMax`, across the word-level
-//!    and bit-level catalogue.
+//!    `SymmetryMode::Quotient` on/off; and the classic-search corners:
+//!    the time corner is bit-identical to `Procedure51` under
+//!    `TieBreak::LexMax`, the space corner to `SpaceSearch` under
+//!    `TieBreak::LexMax`, across the word-level and bit-level catalogue.
 
 use cfmap::core::{find_valid_schedule, is_schedulable, SymmetryMode};
 use cfmap::intlin::non_dominated_indices;
@@ -498,6 +497,8 @@ fn space_corner_is_bit_identical_to_space_search_on_catalogue() {
         (algorithms::sor(3, 3), LinearSchedule::new(&[2, 1]), "sor 3×3"),
         (algorithms::matvec(3, 3), LinearSchedule::new(&[1, 1]), "matvec 3×3"),
         (algorithms::convolution(5, 3), LinearSchedule::new(&[1, 1]), "conv 5/3"),
+        // Π·e₃ = −3 violates condition 1: both searches find nothing.
+        (algorithms::matmul(4), LinearSchedule::new(&[1, 1, -3]), "matmul μ=4, invalid Π"),
     ];
     for (alg, name) in [
         (algorithms::lu_decomposition(4), "lu μ=4"),
@@ -546,17 +547,6 @@ fn joint_catalogue() -> Vec<(Uda, i64, &'static str)> {
     ]
 }
 
-/// Disabling the kernel-lattice conflict memo changes nothing — the
-/// frontier *and* the effort counters are bit-identical.
-#[test]
-fn memo_off_is_bit_identical_on_catalogue() {
-    for (alg, cap, name) in joint_catalogue() {
-        let on = ParetoSearch::new(&alg).max_objective(cap).solve().unwrap();
-        let off = ParetoSearch::new(&alg).max_objective(cap).memo(false).solve().unwrap();
-        assert_frontier_eq(&on, &off, true, &format!("{name} memo on/off"));
-    }
-}
-
 /// The symmetry quotient screens fewer rows but must keep the frontier:
 /// the witness rule is lex-max, so orbit representatives suffice.
 #[test]
@@ -574,8 +564,7 @@ fn quotient_matches_full_on_catalogue() {
 
 /// With bandwidth tracked the quotient must deactivate (time-reversing
 /// stabilizer elements need not preserve per-slot contention), so
-/// quotient-on is bit-identical to quotient-off *including counters*;
-/// the memo stays exact as well.
+/// quotient-on is bit-identical to quotient-off *including counters*.
 #[test]
 fn bandwidth_frontier_is_invariant_across_every_fast_route() {
     let alg = algorithms::matmul(2);
@@ -591,16 +580,14 @@ fn bandwidth_frontier_is_invariant_across_every_fast_route() {
     let full = base(ParetoSearch::new(&alg).max_objective(cap));
     let quot = base(ParetoSearch::new(&alg).max_objective(cap).symmetry(SymmetryMode::Quotient));
     assert_frontier_eq(&full, &quot, true, "bw quotient is a no-op");
-    let off = base(ParetoSearch::new(&alg).max_objective(cap).memo(false));
-    assert_frontier_eq(&full, &off, true, "bw memo on/off");
 }
 
 cfmap_testkit::props! {
     cases = 8;
 
     /// Randomized differential mirroring `space_joint_props`: on
-    /// generated 3-D problems every fast route (memo, quotient) agrees
-    /// with the plain frontier in both scopes.
+    /// generated 3-D problems the symmetry quotient agrees with the
+    /// plain frontier in both scopes.
     fn pareto_fast_routes_match_on_generated_problems(
         mu in gen::vec(2i64..=3, 3),
         extra in gen::vec(-2i64..=2, 6),
@@ -618,8 +605,6 @@ cfmap_testkit::props! {
         let pi = find_valid_schedule(&alg).unwrap();
 
         let seq = ParetoSearch::new(&alg).fixed_schedule(&pi).solve().unwrap();
-        let off = ParetoSearch::new(&alg).fixed_schedule(&pi).memo(false).solve().unwrap();
-        assert_frontier_eq(&seq, &off, true, "generated fixed-Π memo");
         let quot = ParetoSearch::new(&alg)
             .fixed_schedule(&pi)
             .symmetry(SymmetryMode::Quotient)
@@ -628,8 +613,6 @@ cfmap_testkit::props! {
         assert_frontier_eq(&seq, &quot, false, "generated fixed-Π quotient");
 
         let jseq = ParetoSearch::new(&alg).max_objective(12).solve().unwrap();
-        let joff = ParetoSearch::new(&alg).max_objective(12).memo(false).solve().unwrap();
-        assert_frontier_eq(&jseq, &joff, true, "generated joint memo");
         let jquot = ParetoSearch::new(&alg)
             .max_objective(12)
             .symmetry(SymmetryMode::Quotient)
