@@ -2,7 +2,8 @@
 //! searches.
 
 use cfmap_bench::timing::{bench, group};
-use cfmap_core::joint_search::{JointCriterion, JointSearch};
+use cfmap_core::pareto::ParetoSearch;
+use cfmap_core::search::SymmetryMode;
 use cfmap_core::space_search::SpaceSearch;
 use cfmap_model::{algorithms, bounds, LinearSchedule};
 use std::hint::black_box;
@@ -27,15 +28,14 @@ fn main() {
         });
     }
 
-    group("e12_joint_search");
+    group("e12_joint_corners");
     for mu in [3i64, 4] {
         let alg = algorithms::matmul(mu);
-        bench(&format!("time_first/{mu}"), || {
-            JointSearch::new(black_box(&alg)).solve().unwrap()
-        });
-        bench(&format!("space_first/{mu}"), || {
-            JointSearch::new(black_box(&alg))
-                .criterion(JointCriterion::SpaceThenTime)
+        // One frontier solve yields both corners; picking one is free.
+        bench(&format!("frontier/{mu}"), || {
+            ParetoSearch::new(black_box(&alg))
+                .entry_bound(1)
+                .symmetry(SymmetryMode::Quotient)
                 .solve()
                 .unwrap()
         });

@@ -790,20 +790,19 @@ pub fn e15_quotient_and_hybrid() -> ExperimentReport {
 
 /// E16 — the unified screening core (DESIGN.md §15): full enumeration
 /// vs the symmetry quotient under the `LexMax` pin, both screening by
-/// box-kernel tables, on the bit-level Procedure 5.1 rows of E10, the
-/// joint (S, Π) sweeps of E12 and fixed-schedule space searches. Both
-/// routes run the same tie-break, and the experiment *asserts*
-/// bit-identical results (certification, design, objective) before any
-/// timing is reported, so the table can never show a speedup bought with
-/// a different answer.
+/// box-kernel tables, on the bit-level Procedure 5.1 rows of E10 and on
+/// fixed-schedule space searches (`pareto_props` holds the joint
+/// frontier's quotient). Both routes run the same tie-break, and the
+/// experiment *asserts* bit-identical results (certification, design,
+/// objective) before any timing is reported, so the table can never show
+/// a speedup bought with a different answer.
 pub fn e16_screening_core() -> ExperimentReport {
-    use cfmap_core::joint_search::{JointCriterion, JointSearch};
     use cfmap_core::search::{SymmetryMode, TieBreak};
     use cfmap_core::SpaceSearch;
 
     // Sub-50 ms budgets signal a CI smoke run: keep the instance shapes
-    // (r ≥ 2 bit-level rows, joint sweeps) but shrink the boxes/caps so
-    // the whole experiment fits a wall-clock ceiling.
+    // (r ≥ 2 bit-level rows) but shrink the boxes/caps so the whole
+    // experiment fits a wall-clock ceiling.
     let smoke = std::env::var("CFMAP_BENCH_MS")
         .ok()
         .and_then(|v| v.parse::<u64>().ok())
@@ -890,62 +889,7 @@ pub fn e16_screening_core() -> ExperimentReport {
         tel.merge(&fast.telemetry);
     }
 
-    // Part B — joint (S, Π) sweeps: the quotient thins the outer row
-    // space.
-    let joint_cases: Vec<(&str, cfmap_model::Uda)> = if smoke {
-        vec![
-            ("joint matmul μ=3", algorithms::matmul(3)),
-            ("joint convolution 5×3", algorithms::convolution(5, 3)),
-        ]
-    } else {
-        vec![
-            ("joint matmul μ=4", algorithms::matmul(4)),
-            ("joint TC μ=4", algorithms::transitive_closure(4)),
-            ("joint convolution 5×3", algorithms::convolution(5, 3)),
-            ("joint sor 4×4", algorithms::sor(4, 4)),
-        ]
-    };
-    for (name, alg) in &joint_cases {
-        let mk = |fast: bool| {
-            let j = JointSearch::new(alg)
-                .criterion(JointCriterion::TimeThenSpace)
-                .tie_break(TieBreak::LexMax);
-            if fast {
-                j.symmetry(SymmetryMode::Quotient)
-            } else {
-                j
-            }
-        };
-        let t0 = Instant::now();
-        let base = mk(false).solve().unwrap();
-        let t_base = t0.elapsed();
-        let t0 = Instant::now();
-        let fast = mk(true).solve().unwrap();
-        let t_fast = t0.elapsed();
-        assert_eq!(fast.certification, base.certification, "{name}: certification diverged");
-        let obj = match (&base.mapping, &fast.mapping) {
-            (Some(b), Some(f)) => {
-                assert_eq!(f.total_time, b.total_time, "{name}: time diverged");
-                assert_eq!(f.space_cost, b.space_cost, "{name}: cost diverged");
-                assert_eq!(f.space, b.space, "{name}: space map diverged");
-                assert_eq!(f.schedule, b.schedule, "{name}: schedule diverged");
-                format!("t = {}, cost = {}", b.total_time, b.space_cost)
-            }
-            (None, None) => "—".into(),
-            _ => panic!("{name}: mapping presence diverged"),
-        };
-        rows.push(vec![
-            s(name),
-            obj,
-            format!("{t_base:?}"),
-            format!("{t_fast:?}"),
-            speed(t_base, t_fast),
-            s(fast.telemetry.orbits_pruned),
-        ]);
-        tel.merge(&fast.telemetry);
-    }
-
-    // Part C — fixed-schedule space searches (Problem 6.1): `S` varies
+    // Part B — fixed-schedule space searches (Problem 6.1): `S` varies
     // under a fixed Π, so the box-kernel table is built from Π.
     let mut space_cases: Vec<(&str, cfmap_model::Uda, Vec<i64>)> =
         vec![("space matmul μ=4, Π=[1,4,1]", algorithms::matmul(4), vec![1, 4, 1])];
@@ -1005,7 +949,7 @@ pub fn e16_screening_core() -> ExperimentReport {
         rows,
         notes: vec![
             "Full enumeration screens every candidate; the quotient screens one representative per symmetry orbit, same LexMax tie-break. The experiment asserts certification, design and objective equality row by row before timing anything.".into(),
-            "Every row decides the rank and conflict gates by dot products against a box-kernel table built once per search from the fixed side of T = [S; Π]: the space map S for Procedure 5.1 (the bit-level rows and the inner searches of the joint rows), the schedule Π for the space rows. No row computes a Hermite form or runs an exact lattice search, so the speedup is the quotient's alone.".into(),
+            "Every row decides the rank and conflict gates by dot products against a box-kernel table built once per search from the fixed side of T = [S; Π]: the space map S for Procedure 5.1 (the bit-level rows), the schedule Π for the space rows. No row computes a Hermite form or runs an exact lattice search, so the speedup is the quotient's alone.".into(),
             "Every search runs on its caller's thread, so timings here are single-threaded and speedups are purely algorithmic.".into(),
             "Both columns use the allocation-free i64 condition-1 gate. Against the pre-§15 screen (bignum condition-1 gate, measured 1.10 s and 3.49 s on the two bit-level rows), the quotient plus the since-retired kernel-lattice verdict cache measured 15.7× and 10.6× when they were introduced, before the box-kernel table.".into(),
         ],
@@ -1311,9 +1255,11 @@ pub fn e11_space_optimal() -> ExperimentReport {
 }
 
 /// E12 — Problem 6.2 (joint `S`, `Π` optimization) with absolute
-/// lower-bound context.
+/// lower-bound context. Both criteria are corners of one joint Pareto
+/// frontier, so one search answers both.
 pub fn e12_joint_and_bounds() -> ExperimentReport {
-    use cfmap_core::joint_search::{JointCriterion, JointSearch};
+    use cfmap_core::pareto::{ParetoPoint, ParetoSearch};
+    use cfmap_core::search::SymmetryMode;
     use cfmap_model::bounds;
     let mut rows = Vec::new();
     let cases: Vec<(&str, cfmap_model::Uda, i64)> = vec![
@@ -1325,19 +1271,21 @@ pub fn e12_joint_and_bounds() -> ExperimentReport {
     for (name, alg, fixed_s_time) in &cases {
         let cp = bounds::critical_path(alg);
         let lin = bounds::linear_schedule_bound(alg, 80).map_or("—".into(), |t| t.to_string());
-        let fast = JointSearch::new(alg)
-            .criterion(JointCriterion::TimeThenSpace)
-            .solve()
-            .unwrap()
-            .into_mapping();
-        let small = JointSearch::new(alg)
-            .criterion(JointCriterion::SpaceThenTime)
-            .solve()
-            .unwrap()
-            .into_mapping();
-        let fmt = |o: &Option<cfmap_core::JointOptimal>| match o {
-            Some(s) => format!("t={} cost={} (S={:?})", s.total_time, s.space_cost,
-                s.space.as_mat().row(0).to_i64s().unwrap()),
+        // Best of five solves: a single cold solve mostly times the
+        // first touch of the code and data.
+        let solve = || {
+            let t0 = Instant::now();
+            let f = ParetoSearch::new(alg).entry_bound(1).symmetry(SymmetryMode::Quotient).solve();
+            (f.unwrap(), t0.elapsed())
+        };
+        let (frontier, mut elapsed) = solve();
+        for _ in 1..5 {
+            elapsed = elapsed.min(solve().1);
+        }
+        let fmt = |o: Option<&ParetoPoint>| match o {
+            Some(p) => {
+                format!("t={} cost={} (S={:?})", p.total_time, p.space_cost(), p.space_rows()[0])
+            }
             None => "—".into(),
         };
         rows.push(vec![
@@ -1345,8 +1293,9 @@ pub fn e12_joint_and_bounds() -> ExperimentReport {
             s(cp),
             lin,
             if *fixed_s_time > 0 { s(fixed_s_time) } else { "—".into() },
-            fmt(&fast),
-            fmt(&small),
+            fmt(frontier.time_corner()),
+            fmt(frontier.space_corner()),
+            format!("{elapsed:?}"),
         ]);
     }
     ExperimentReport {
@@ -1360,11 +1309,13 @@ pub fn e12_joint_and_bounds() -> ExperimentReport {
             "paper fixed-S optimum".into(),
             "joint, time-first".into(),
             "joint, space-first".into(),
+            "joint frontier search (best of 5)".into(),
         ],
         rows,
         notes: vec![
             "critical path ≤ linear bound ≤ conflict-free optimum on every instance; the gap between the last two is the price of conflict-freedom under a lower-dimensional space map.".into(),
-            "Extension finding: freeing S improves the transitive closure beyond the paper's fixed-S optimum — S = [1,−1,0] admits t = 25 < μ(μ+3)+1 = 29 at μ = 4, conflict-free (verified exactly).".into(),
+            "Both criteria are corners of one joint Pareto frontier (entry bound 1, symmetry-quotiented): time-first minimizes (time, PEs + wires), space-first (PEs + wires, time), ties to the lex-greatest (S, Π).".into(),
+            "Extension finding: freeing S improves the transitive closure beyond the paper's fixed-S optimum — S = [1,0,−1] with Π = [4,1,1] admits t = 25 < μ(μ+3)+1 = 29 at μ = 4, conflict-free (verified exactly).".into(),
         ],
     }
 }

@@ -437,8 +437,8 @@ pub fn stabilizer(alg: &Uda, space: &SpaceMap) -> Stabilizer {
 
 /// The stabilizer of the bare problem `(J, D)` with **no** space map
 /// pinned: all signed axis permutations with `μ ∘ σ = μ` and `G·D = D` as
-/// a column multiset. This is the symmetry group the joint search
-/// (Problem 6.2) quotients by — there `S` itself is the search variable,
+/// a column multiset. This is the symmetry group the joint-scope Pareto
+/// frontier (Problem 6.2) quotients by — there `S` itself is the search variable,
 /// so orbits act on candidate space rows: every element maps a candidate
 /// onto one of identical VLSI cost whose inner schedule search has the
 /// identical optimum.

@@ -20,7 +20,7 @@
 //! | Proposition 8.1 (closed-form `U` for `T ∈ Z^{3×5}`) | [`prop81`] |
 //! | Prior-work baselines [22], [23] | [`baselines`] |
 //! | Problem 6.1 (space-optimal mapping — the paper's future work) | [`space_search`] |
-//! | Problem 6.2 (joint `S`, `Π` optimization — future work) | [`joint_search`] |
+//! | Problem 6.2 (joint `S`, `Π` optimization — future work) | [`pareto`] (joint-frontier corners) |
 //! | search effort / observability counters (not in the paper) | [`metrics`] |
 //! | affine-in-μ schedule families & certificates (not in the paper) | [`family`] |
 //! | resource budgets & Pareto frontiers (not in the paper) | [`pareto`] |
@@ -38,7 +38,6 @@ pub mod diagnose;
 pub mod error;
 pub mod family;
 pub mod ilp;
-pub mod joint_search;
 pub mod mapping;
 pub mod metrics;
 pub mod oracle;
@@ -68,4 +67,3 @@ pub use pareto::{BandwidthProbe, ParetoFrontier, ParetoPoint, ParetoSearch, Reso
 pub use schedulability::{find_valid_schedule, is_schedulable};
 pub use search::{HybridPolicy, OptimalMapping, Procedure51, SymmetryMode, TieBreak};
 pub use space_search::{SpaceOptimalMapping, SpaceSearch};
-pub use joint_search::{JointCriterion, JointOptimal, JointSearch};

@@ -701,9 +701,9 @@ impl SearchTelemetry {
     }
 
     /// Fold `other` into `self`: counter sums, level records merged by
-    /// objective value (both sides sorted ascending). Used to combine
-    /// per-worker telemetry from the parallel search and to aggregate
-    /// inner searches (Problem 6.2 runs one Procedure 5.1 per space map).
+    /// objective value (both sides sorted ascending). Used to aggregate
+    /// inner searches (the joint Pareto frontier runs one Procedure 5.1
+    /// scan per space map).
     pub fn merge(&mut self, other: &SearchTelemetry) {
         self.enumerated += other.enumerated;
         self.rejected_schedule += other.rejected_schedule;

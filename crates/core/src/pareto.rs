@@ -13,7 +13,12 @@
 //! `LexMax` winner, and with a fixed schedule the minimum `PEs + wires`
 //! corner is exactly [`crate::SpaceSearch`]'s `LexMax` winner (see
 //! [`ParetoFrontier::time_corner`] / [`ParetoFrontier::space_corner`]
-//! and `tests/pareto_props.rs`).
+//! and `tests/pareto_props.rs`). With neither side fixed the same two
+//! corners answer Problem 6.2, the paper's joint `(S, Π)` question:
+//! a design minimizing `(time, PEs + wires)` or `(PEs + wires, time)`
+//! cannot be dominated, so it is always a frontier point
+//! (`crates/core/tests/space_joint_props.rs` checks both against a
+//! per-row Procedure 5.1 reference).
 //!
 //! The screening per candidate is the unified core every search shares:
 //! the fixed side of the mapping is tabulated once as a box-kernel table
@@ -30,15 +35,18 @@
 //! the knobs: one witness design is kept per distinct objective vector —
 //! the lexicographically greatest `(space rows, schedule)` among all
 //! accepted candidates achieving that vector — so the symmetry quotient
-//! cannot change the result (`tests/pareto_props.rs` proves it).
+//! cannot change the result (`tests/pareto_props.rs` proves it). A
+//! [`SearchBudget`] may cut the scan short; a cut frontier is the exact non-dominated set of the candidates screened
+//! before the cut, and the quotient is off so that set does not depend
+//! on it.
 
 use crate::box_kernel::BoxKernelTable;
+use crate::budget::{BudgetMeter, SearchBudget};
 use crate::canon::Stabilizer;
-use crate::conditions::ConditionKind;
 use crate::error::CfmapError;
 use crate::mapping::{MappingMatrix, SpaceMap};
 use crate::metrics::SearchTelemetry;
-use crate::search::{weighted_objective, Procedure51, SymmetryMode, TieBreak};
+use crate::search::{weighted_objective, Procedure51, SymmetryMode};
 use crate::space_search::{canonical_rows, is_class_representative, screen_space_rows, vlsi_cost};
 use cfmap_intlin::dominance::non_dominated_indices;
 use cfmap_intlin::{IMat, Rat};
@@ -133,6 +141,11 @@ impl ParetoPoint {
             .collect()
     }
 
+    /// Problem 6.1's combined VLSI cost, `processors + wires`.
+    pub fn space_cost(&self) -> i64 {
+        i64::try_from(self.processors).unwrap_or(i64::MAX).saturating_add(self.wires)
+    }
+
     /// The witness identity: per distinct objective vector the frontier
     /// keeps the accepted candidate maximizing this key.
     fn witness_key(&self) -> (Vec<Vec<i64>>, Vec<i64>) {
@@ -168,25 +181,32 @@ impl ParetoFrontier {
         self.points.is_empty()
     }
 
-    /// The time-first corner: minimum makespan, remaining axes as
-    /// tie-breaks in ascending vector order. For a fixed-space search
-    /// without the bandwidth axis this is bit-identical to
-    /// [`Procedure51`] under [`TieBreak::LexMax`].
+    /// The time-first corner: the point minimizing `(time, processors +
+    /// wires)`, ties resolved to the lex-greatest `(space rows, schedule)`
+    /// witness. On a joint frontier this answers Problem 6.2 time-first;
+    /// for a fixed-space search without the bandwidth axis it is
+    /// bit-identical to [`Procedure51`] under
+    /// [`TieBreak::LexMax`](crate::TieBreak::LexMax).
     pub fn time_corner(&self) -> Option<&ParetoPoint> {
-        self.points.first()
+        self.corner(|p| (p.total_time, p.space_cost()))
     }
 
-    /// The space-first corner: minimum `processors + wires` (Problem
-    /// 6.1's combined VLSI cost), ties resolved to the lex-greatest
-    /// witness. For a fixed-schedule search without the bandwidth axis
-    /// this is bit-identical to [`crate::SpaceSearch`] under
-    /// [`TieBreak::LexMax`].
+    /// The space-first corner: the point minimizing `(processors + wires,
+    /// time)` — Problem 6.1's combined VLSI cost first — ties resolved to
+    /// the lex-greatest witness. On a joint frontier this answers Problem
+    /// 6.2 space-first; for a fixed-schedule search without the bandwidth
+    /// axis it is bit-identical to [`crate::SpaceSearch`] under
+    /// [`TieBreak::LexMax`](crate::TieBreak::LexMax).
     pub fn space_corner(&self) -> Option<&ParetoPoint> {
-        fn cost(p: &ParetoPoint) -> i64 {
-            i64::try_from(p.processors).unwrap_or(i64::MAX) + p.wires
-        }
-        let min_cost = self.points.iter().map(cost).min()?;
-        self.points.iter().filter(|p| cost(p) == min_cost).max_by_key(|p| p.witness_key())
+        self.corner(|p| (p.space_cost(), p.total_time))
+    }
+
+    /// The point minimizing `key`, ties to the lex-greatest witness. No
+    /// point can dominate a lexicographic minimizer, so the minimum over
+    /// the frontier is the minimum over every accepted design.
+    fn corner(&self, key: impl Fn(&ParetoPoint) -> (i64, i64)) -> Option<&ParetoPoint> {
+        let best = self.points.iter().map(&key).min()?;
+        self.points.iter().filter(|p| key(p) == best).max_by_key(|p| p.witness_key())
     }
 }
 
@@ -235,17 +255,6 @@ impl FrontierBuilder {
     }
 }
 
-/// One enumerated space row's worth of work: its accepted admissible
-/// designs and screening telemetry.
-#[derive(Default)]
-struct RowScan {
-    points: Vec<ParetoPoint>,
-    tel: SearchTelemetry,
-    /// The symmetry quotient skipped this row as a non-representative
-    /// orbit member.
-    pruned: bool,
-}
-
 /// Multi-objective frontier search. Three scopes, chosen by which side
 /// of the mapping is pinned:
 ///
@@ -255,7 +264,9 @@ struct RowScan {
 ///   canonical 1-row space maps for a given `Π`, Problem 6.1's
 ///   candidate space;
 /// * **joint** (neither pinned) — canonical 1-row space maps crossed
-///   with the schedule scan per row.
+///   with the schedule scan per row. Its corners answer Problem 6.2:
+///   [`ParetoFrontier::time_corner`] time-first,
+///   [`ParetoFrontier::space_corner`] space-first.
 pub struct ParetoSearch<'a> {
     alg: &'a Uda,
     space: Option<&'a SpaceMap>,
@@ -265,6 +276,7 @@ pub struct ParetoSearch<'a> {
     max_objective: Option<i64>,
     symmetry: SymmetryMode,
     bandwidth_probe: Option<&'a BandwidthProbe<'a>>,
+    budget: SearchBudget,
 }
 
 impl<'a> ParetoSearch<'a> {
@@ -279,6 +291,7 @@ impl<'a> ParetoSearch<'a> {
             max_objective: None,
             symmetry: SymmetryMode::default(),
             bandwidth_probe: None,
+            budget: SearchBudget::unlimited(),
         }
     }
 
@@ -323,9 +336,22 @@ impl<'a> ParetoSearch<'a> {
     /// quotienting drops only candidates that could never be witnesses.
     /// Ignored while bandwidth is tracked — a stabilizer element with
     /// `Π·G = −Π` reverses time, and per-slot link contention is not
-    /// proven orbit-invariant under reversal.
+    /// proven orbit-invariant under reversal — and under a budget, whose
+    /// cut depends on which candidates were screened.
     pub fn symmetry(mut self, mode: SymmetryMode) -> Self {
         self.symmetry = mode;
+        self
+    }
+
+    /// Bound the work performed (default: unlimited). One candidate is
+    /// charged per screened design — a schedule in the fixed-space and
+    /// joint scopes, a space map in the fixed-schedule scope — and the
+    /// charged candidate is still screened. A frontier cut short keeps
+    /// the points found so far and records the limit in
+    /// `telemetry.budget_limit`; a limit that trips before any point is
+    /// found is [`CfmapError::BudgetExhausted`].
+    pub fn budget(mut self, budget: SearchBudget) -> Self {
+        self.budget = budget;
         self
     }
 
@@ -374,27 +400,37 @@ impl<'a> ParetoSearch<'a> {
     }
 
     /// Run the search; the result is the exact non-dominated set of the
-    /// scoped candidate space under the resource model.
+    /// scoped candidate space under the resource model, or of the
+    /// candidates screened before a budget cut it short.
     pub fn solve(&self) -> Result<ParetoFrontier, CfmapError> {
         self.validate()?;
-        match self.space {
-            Some(space) => self.solve_fixed_space(space),
-            None => self.solve_rows(),
+        // Metering is decided once per search: unlimited scans do no
+        // budget work per candidate.
+        let mut meter = (!self.budget.is_unlimited()).then(|| self.budget.start());
+        let mut fb = FrontierBuilder::default();
+        let tel = match self.space {
+            Some(space) => self.scan_space(space, meter.as_mut(), &mut fb)?,
+            None => self.scan_rows(meter.as_mut(), &mut fb)?,
+        };
+        let examined = tel.enumerated;
+        match tel.budget_limit {
+            Some(limit) if fb.points_seen == 0 => {
+                Err(CfmapError::BudgetExhausted { limit, candidates_examined: examined })
+            }
+            _ => Ok(fb.finish(examined, tel)),
         }
     }
 
     /// Evaluate the optional bandwidth axis for an accepted design and
     /// build its point; `None` when the design is mesh-unroutable or a
     /// bandwidth budget rejects it.
-    #[allow(clippy::too_many_arguments)]
     fn eval_point(
         &self,
         space: &SpaceMap,
         schedule: LinearSchedule,
         mapping: MappingMatrix,
         total_time: i64,
-        processors: usize,
-        wires: i64,
+        (processors, wires): (usize, i64),
     ) -> Option<ParetoPoint> {
         let bandwidth = if self.resources.tracks_bandwidth() {
             let probe = self.bandwidth_probe.expect("validated: probe present when tracking");
@@ -416,45 +452,46 @@ impl<'a> ParetoSearch<'a> {
         })
     }
 
-    /// Fixed-space scope: one space map, scan schedules with the shared
-    /// Procedure 5.1 screening core. Without the bandwidth axis the
-    /// scan stops after the first accepting objective level — every
-    /// later acceptance shares this map's sites/wires at strictly worse
-    /// time, hence is dominated.
-    fn solve_fixed_space(&self, space: &SpaceMap) -> Result<ParetoFrontier, CfmapError> {
+    /// The schedule scan of one space map — the fixed-space scope, and
+    /// each row of the joint scope — with the shared Procedure 5.1
+    /// screening core, every admissible acceptance pushed into `fb`.
+    /// Without the bandwidth axis the scan stops after the first
+    /// accepting objective level — every later acceptance shares this
+    /// map's sites/wires at strictly worse time, hence is dominated.
+    fn scan_space(
+        &self,
+        space: &SpaceMap,
+        meter: Option<&mut BudgetMeter>,
+        fb: &mut FrontierBuilder,
+    ) -> Result<SearchTelemetry, CfmapError> {
         let (_, processors, wires) = vlsi_cost(self.alg, space)?;
-        let mut fb = FrontierBuilder::default();
-        let mut tel = SearchTelemetry::default();
-        if self.resources.admits_space(processors, wires) {
-            let mut proc = Procedure51::new(self.alg, space).tie_break(TieBreak::LexMax);
-            if let Some(cap) = self.max_objective {
-                proc = proc.max_objective(cap);
-            }
-            let stop_early = !self.resources.tracks_bandwidth();
-            tel = proc.scan_accepted(stop_early, &mut |opt| {
-                if let Some(p) = self.eval_point(
-                    space,
-                    opt.schedule,
-                    opt.mapping,
-                    opt.total_time,
-                    processors,
-                    wires,
-                ) {
-                    fb.push(p);
-                }
-            })?;
+        if !self.resources.admits_space(processors, wires) {
+            return Ok(SearchTelemetry::default());
         }
-        let examined = tel.enumerated;
-        Ok(fb.finish(examined, tel))
+        let mut proc = Procedure51::new(self.alg, space);
+        if let Some(cap) = self.max_objective {
+            proc = proc.max_objective(cap);
+        }
+        let stop_early = !self.resources.tracks_bandwidth();
+        proc.scan_accepted(stop_early, meter, &mut |opt| {
+            let (schedule, mapping) = (opt.schedule, opt.mapping);
+            let cost = (processors, wires);
+            if let Some(p) = self.eval_point(space, schedule, mapping, opt.total_time, cost) {
+                fb.push(p);
+            }
+        })
     }
 
     /// The active row quotient, or `None` when the mode is off, the
-    /// stabilizer is trivial, or bandwidth is tracked (see
-    /// [`Self::symmetry`] for why tracking disables it). Fixed-schedule
-    /// scope pins `Π` into the stabilizer exactly like
-    /// [`crate::SpaceSearch`]; joint scope uses the problem stabilizer.
+    /// stabilizer is trivial, bandwidth is tracked, or the search is
+    /// metered (see [`Self::symmetry`]). Fixed-schedule scope pins `Π`
+    /// into the stabilizer exactly like [`crate::SpaceSearch`]; joint
+    /// scope uses the problem stabilizer.
     fn active_quotient(&self) -> Option<Stabilizer> {
-        if self.symmetry != SymmetryMode::Quotient || self.resources.tracks_bandwidth() {
+        if self.symmetry != SymmetryMode::Quotient
+            || self.resources.tracks_bandwidth()
+            || !self.budget.is_unlimited()
+        {
             return None;
         }
         let stab = match self.schedule {
@@ -467,83 +504,22 @@ impl<'a> ParetoSearch<'a> {
         Some(stab)
     }
 
-    /// Screen one candidate row. `fixed_time` is `Some(makespan)` in
-    /// the fixed-schedule scope (where the row itself is the candidate)
-    /// and `None` in the joint scope (where a schedule scan runs per
-    /// row).
-    fn row_accepts(
-        &self,
-        row: &[i64],
-        fixed_time: Option<i64>,
-        quotient: Option<&Stabilizer>,
-        table: Option<&BoxKernelTable>,
-    ) -> Result<RowScan, CfmapError> {
-        let mut scan = RowScan::default();
-        let rows_vec = vec![row.to_vec()];
-        if quotient.is_some_and(|stab| !is_class_representative(stab, &rows_vec)) {
-            scan.pruned = true;
-            return Ok(scan);
-        }
-        let space = SpaceMap::row(row);
-        let (_, processors, wires) = vlsi_cost(self.alg, &space)?;
-        if !self.resources.admits_space(processors, wires) {
-            return Ok(scan);
-        }
-        match (self.schedule, fixed_time) {
-            (Some(pi), Some(total_time)) => {
-                scan.tel.enumerated += 1;
-                let exact = ConditionKind::Exact;
-                let Some(mapping) =
-                    screen_space_rows(self.alg, pi, exact, table, &[row], &mut scan.tel)
-                else {
-                    return Ok(scan);
-                };
-                scan.tel.accepted += 1;
-                if let Some(p) = self.eval_point(
-                    &space,
-                    pi.clone(),
-                    mapping,
-                    total_time,
-                    processors,
-                    wires,
-                ) {
-                    scan.points.push(p);
-                }
-            }
-            _ => {
-                let mut proc = Procedure51::new(self.alg, &space);
-                if let Some(cap) = self.max_objective {
-                    proc = proc.max_objective(cap);
-                }
-                let stop_early = !self.resources.tracks_bandwidth();
-                let points = &mut scan.points;
-                scan.tel = proc.scan_accepted(stop_early, &mut |opt| {
-                    if let Some(p) = self.eval_point(
-                        &space,
-                        opt.schedule,
-                        opt.mapping,
-                        opt.total_time,
-                        processors,
-                        wires,
-                    ) {
-                        points.push(p);
-                    }
-                })?;
-            }
-        }
-        Ok(scan)
-    }
-
     /// Fixed-schedule and joint scopes: enumerate the canonical 1-row
     /// pool — exactly [`crate::SpaceSearch`]'s, so the space corner can be
-    /// compared design-for-design — optionally quotiented, screen each
-    /// row, and fold the accepted designs.
-    fn solve_rows(&self) -> Result<ParetoFrontier, CfmapError> {
-        let fixed_time = match self.schedule {
+    /// compared design-for-design — optionally quotiented, and screen
+    /// each row: as the candidate itself under a fixed `Π`, by a
+    /// schedule scan ([`Self::scan_space`]) in the joint scope.
+    fn scan_rows(
+        &self,
+        mut meter: Option<&mut BudgetMeter>,
+        fb: &mut FrontierBuilder,
+    ) -> Result<SearchTelemetry, CfmapError> {
+        let mut tel = SearchTelemetry::default();
+        let fixed = match self.schedule {
             Some(pi) => {
                 if !pi.is_valid_for(&self.alg.deps) {
                     // An invalid schedule admits no design at all.
-                    return Ok(FrontierBuilder::default().finish(0, SearchTelemetry::default()));
+                    return Ok(tel);
                 }
                 let t = weighted_objective(pi.as_slice(), self.alg.index_set.mu())
                     .and_then(|o| o.checked_add(1))
@@ -553,38 +529,176 @@ impl<'a> ParetoSearch<'a> {
                             pi.as_slice()
                         ),
                     })?;
-                Some(t)
+                // The fixed-schedule scope tabulates its Π once, as
+                // SpaceSearch does.
+                let mu = self.alg.index_set.mu();
+                Some((pi, t, BoxKernelTable::build(&IMat::from_rows(&[pi.as_slice()]), mu)))
             }
             None => None,
         };
         let quotient = self.active_quotient();
-        // The fixed-schedule scope tabulates its Π once, as SpaceSearch does.
-        let table = self.schedule.and_then(|pi| {
-            BoxKernelTable::build(&IMat::from_rows(&[pi.as_slice()]), self.alg.index_set.mu())
-        });
-        let mut fb = FrontierBuilder::default();
-        let mut tel = SearchTelemetry::default();
         for row in canonical_rows(self.alg.dim(), self.entry_bound) {
-            let scan = self.row_accepts(&row, fixed_time, quotient.as_ref(), table.as_ref())?;
-            if scan.pruned {
+            if tel.budget_limit.is_some() {
+                break;
+            }
+            if quotient
+                .as_ref()
+                .is_some_and(|stab| !is_class_representative(stab, std::slice::from_ref(&row)))
+            {
                 tel.orbits_pruned += 1;
                 crate::metrics::ORBITS_PRUNED.inc();
                 continue;
             }
-            tel.merge(&scan.tel);
-            for p in scan.points {
+            let space = SpaceMap::row(&row);
+            let Some((pi, total_time, table)) = &fixed else {
+                tel.merge(&self.scan_space(&space, meter.as_deref_mut(), fb)?);
+                continue;
+            };
+            let (_, processors, wires) = vlsi_cost(self.alg, &space)?;
+            if !self.resources.admits_space(processors, wires) {
+                continue;
+            }
+            if let Some(m) = meter.as_deref_mut() {
+                tel.budget_limit = m.charge_candidate();
+            }
+            tel.enumerated += 1;
+            let Some(mapping) = screen_space_rows(self.alg, pi, table.as_ref(), &[&row], &mut tel)
+            else {
+                continue;
+            };
+            tel.accepted += 1;
+            let cost = (processors, wires);
+            if let Some(p) = self.eval_point(&space, (*pi).clone(), mapping, *total_time, cost) {
                 fb.push(p);
             }
         }
-        let examined = tel.enumerated;
-        Ok(fb.finish(examined, tel))
+        Ok(tel)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::BudgetLimit;
+    use crate::search::TieBreak;
     use cfmap_model::algorithms;
+    use std::time::Duration;
+
+    /// A frontier point as `(S rows, Π, time, PEs, wires)`.
+    type Design = (Vec<Vec<i64>>, Vec<i64>, i64, usize, i64);
+
+    fn designs(f: &ParetoFrontier) -> Vec<Design> {
+        let point = |p: &ParetoPoint| {
+            let pi = p.schedule.as_slice().to_vec();
+            (p.space_rows(), pi, p.total_time, p.processors, p.wires)
+        };
+        f.points.iter().map(point).collect()
+    }
+
+    /// The joint, fixed-space and fixed-schedule scopes of one problem.
+    fn scoped<'a>(
+        alg: &'a Uda,
+        space: &'a SpaceMap,
+        pi: &'a LinearSchedule,
+    ) -> [ParetoSearch<'a>; 3] {
+        let new = || ParetoSearch::new(alg);
+        [new(), new().fixed_space(space), new().fixed_schedule(pi)]
+    }
+
+    /// Problem 6.2's answers at the CLI's entry bound 1: the lex-greatest
+    /// `(S, Π)` witness of each corner.
+    #[test]
+    fn joint_corners_pin_problem_6_2_answers() {
+        for (alg, time_first, space_first) in [
+            (algorithms::matmul(3), ([1, 0, -1], [3, 1, 1], 16, 9), ([1, 0, 0], [1, 4, 1], 19, 5)),
+            (
+                algorithms::transitive_closure(4),
+                ([1, 0, -1], [4, 1, 1], 25, 15),
+                ([0, 1, 0], [5, 1, 1], 29, 8),
+            ),
+        ] {
+            let f = ParetoSearch::new(&alg)
+                .entry_bound(1)
+                .symmetry(SymmetryMode::Quotient)
+                .solve()
+                .unwrap();
+            for (corner, (s, pi, time, cost)) in
+                [(f.time_corner(), time_first), (f.space_corner(), space_first)]
+            {
+                let p = corner.expect("a joint design exists");
+                assert_eq!(p.space_rows(), vec![s.to_vec()], "{}", alg.name);
+                assert_eq!(p.schedule.as_slice(), pi, "{}", alg.name);
+                assert_eq!((p.total_time, p.space_cost()), (time, cost), "{}", alg.name);
+            }
+        }
+    }
+
+    /// A candidate budget below the full count stops every scope at
+    /// exactly the budget; the points found so far are kept, and each is
+    /// conflict-free.
+    #[test]
+    fn candidate_budget_cuts_each_scope_short() {
+        let alg = algorithms::matmul(3);
+        let (space, pi) = (SpaceMap::row(&[1, 1, -1]), LinearSchedule::new(&[1, 3, 1]));
+        let full = scoped(&alg, &space, &pi).map(|s| s.solve().unwrap());
+        for (scope, full) in scoped(&alg, &space, &pi).into_iter().zip(&full) {
+            let budget = full.candidates_examined - 1;
+            let cut = scope.budget(SearchBudget::candidates(budget)).solve().unwrap();
+            assert_eq!(cut.candidates_examined, budget);
+            assert_eq!(cut.telemetry.budget_limit, Some(BudgetLimit::Candidates));
+            assert!(!cut.is_empty());
+            for p in &cut.points {
+                let index_set = &alg.index_set;
+                assert!(crate::oracle::is_conflict_free_by_enumeration(&p.mapping, index_set));
+            }
+        }
+    }
+
+    /// A one-candidate budget and a zero wall clock each stop after the
+    /// first candidate, which finds no design: the search is out of
+    /// budget, not infeasible.
+    #[test]
+    fn limits_before_any_point_are_budget_exhausted() {
+        let alg = algorithms::matmul(3);
+        for (search, want) in [
+            (ParetoSearch::new(&alg).budget(SearchBudget::candidates(1)), BudgetLimit::Candidates),
+            (
+                ParetoSearch::new(&alg).budget(SearchBudget::wall_clock(Duration::ZERO)),
+                BudgetLimit::WallClock,
+            ),
+        ] {
+            match search.solve() {
+                Err(CfmapError::BudgetExhausted { limit, candidates_examined }) => {
+                    assert_eq!((limit, candidates_examined), (want, 1));
+                }
+                other => panic!("{want:?}: expected BudgetExhausted, got {other:?}"),
+            }
+        }
+    }
+
+    /// A budget turns the quotient off, so a cut frontier does not depend
+    /// on the symmetry mode; a budget that never trips leaves the frontier
+    /// and its count as they are without one.
+    #[test]
+    fn budgeted_frontiers_ignore_the_quotient_and_idle_budgets_change_nothing() {
+        let alg = algorithms::matmul(3);
+        let (space, pi) = (SpaceMap::row(&[1, 1, -1]), LinearSchedule::new(&[1, 3, 1]));
+        let full = scoped(&alg, &space, &pi).map(|s| s.solve().unwrap());
+        let cut = |mode, budget| {
+            scoped(&alg, &space, &pi).map(|s| {
+                let out = s.symmetry(mode).budget(SearchBudget::candidates(budget)).solve();
+                out.map(|f| (designs(&f), f.candidates_examined, f.telemetry.budget_limit))
+                    .map_err(|e| e.to_string())
+            })
+        };
+        for (i, full) in full.iter().enumerate() {
+            let half = full.candidates_examined / 2 + 1;
+            let full_cut = &cut(SymmetryMode::Full, half)[i];
+            assert_eq!(full_cut, &cut(SymmetryMode::Quotient, half)[i], "scope {i}");
+            let idle = &cut(SymmetryMode::Quotient, full.candidates_examined + 1)[i];
+            assert_eq!(idle, &Ok((designs(full), full.candidates_examined, None)), "scope {i}");
+        }
+    }
 
     #[test]
     fn fixed_space_time_corner_is_procedure51_lexmax() {

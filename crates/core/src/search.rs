@@ -36,7 +36,7 @@
 //! does it report [`CfmapError::BudgetExhausted`].
 
 use crate::box_kernel::BoxKernelTable;
-use crate::budget::{CancelToken, SearchBudget, SearchOutcome, SolveRoute};
+use crate::budget::{BudgetMeter, CancelToken, SearchBudget, SearchOutcome, SolveRoute};
 use crate::canon::Stabilizer;
 use crate::conditions::{check, rule_for, ConditionKind};
 use crate::conflict::ConflictAnalysis;
@@ -547,21 +547,43 @@ impl<'a> Procedure51<'a> {
     /// lex-ascending within each level. This is the multi-objective
     /// analogue of [`Self::solve`]: the Pareto frontier needs the whole
     /// accepted set, not just the first level's tie-break winner. No
-    /// symmetry quotient, budget, hybrid escalation or adaptive cap
-    /// extension applies — the scan must visit every acceptance exactly
-    /// once so the caller's dominance filter sees the full picture.
+    /// symmetry quotient, hybrid escalation or adaptive cap extension
+    /// applies, and the builder's own budget, token and tie-break are not
+    /// read — the scan must visit every acceptance exactly once so the
+    /// caller's dominance filter sees the full picture.
     ///
     /// With `stop_after_accepting_level` the scan ends after the first
     /// level containing an acceptance: sound for the 3-axis frontier
     /// (time × sites × wires) where every later acceptance shares this
     /// space map's sites/wires but has strictly worse time, hence is
     /// dominated.
+    ///
+    /// With a `meter`, every screened candidate is charged to it; a trip
+    /// ends the scan after the charged candidate and is recorded in the
+    /// returned `budget_limit`. Whether to meter is decided here, once:
+    /// the unmetered scan does no budget work per candidate.
     pub(crate) fn scan_accepted(
         &self,
         stop_after_accepting_level: bool,
+        meter: Option<&mut BudgetMeter>,
         on_accept: &mut dyn FnMut(OptimalMapping),
     ) -> Result<SearchTelemetry, CfmapError> {
         self.check_cap()?;
+        let stop = stop_after_accepting_level;
+        Ok(match meter {
+            Some(m) => self.scan_levels::<true>(stop, &mut || m.charge_candidate(), on_accept),
+            None => self.scan_levels::<false>(stop, &mut || None, on_accept),
+        })
+    }
+
+    /// The level loop of [`Self::scan_accepted`]; `charge` is called only
+    /// when `METERED`.
+    fn scan_levels<const METERED: bool>(
+        &self,
+        stop_after_accepting_level: bool,
+        charge: &mut dyn FnMut() -> Option<BudgetLimit>,
+        on_accept: &mut dyn FnMut(OptimalMapping),
+    ) -> SearchTelemetry {
         let mut tel = SearchTelemetry::default();
         let prep = self.screen_prep();
         let mut ws = HnfWorkspace::new();
@@ -569,6 +591,12 @@ impl<'a> Procedure51<'a> {
             let level_start = tel.enumerated;
             let mut level_accepted = 0u64;
             self.enumerate_level(cost, None, &mut |pi| {
+                if METERED {
+                    if tel.budget_limit.is_some() {
+                        return;
+                    }
+                    tel.budget_limit = charge();
+                }
                 tel.enumerated += 1;
                 let examined = tel.enumerated;
                 if let Some(result) =
@@ -580,11 +608,11 @@ impl<'a> Procedure51<'a> {
                 }
             });
             tel.record_level(cost, tel.enumerated - level_start, level_accepted);
-            if stop_after_accepting_level && level_accepted > 0 {
+            if (stop_after_accepting_level && level_accepted > 0) || tel.budget_limit.is_some() {
                 break;
             }
         }
-        Ok(tel)
+        tel
     }
 
     /// The active symmetry quotient, or `None` when the mode is off or a

@@ -19,16 +19,15 @@
 //! (`crate::box_kernel`) lists every in-box direction `γ` with
 //! `Π·γ = 0`, so each candidate's rank and exact conflict gates are dot
 //! products (`screen_space_rows`, shared with the fixed-schedule
-//! Pareto scope). The paper's closed-form conditions, boxes too large to
-//! tabulate and i128 overflow take one from-scratch Hermite form of
-//! `[S; Π]` instead. The candidate space can be quotiented by the
+//! Pareto scope). Boxes too large to tabulate and i128 overflow take one
+//! from-scratch Hermite form of `[S; Π]` and the exact lattice test
+//! instead. The candidate space can be quotiented by the
 //! problem's symmetry stabilizer under the `LexMax` pin — bit-identical
 //! to full enumeration (see `tests/space_joint_props.rs`).
 
 use crate::box_kernel::BoxKernelTable;
 use crate::budget::{SearchBudget, SearchOutcome};
 use crate::canon::Stabilizer;
-use crate::conditions::{check, rule_for, ConditionKind};
 use crate::conflict::ConflictAnalysis;
 use crate::error::{BudgetLimit, CfmapError};
 use crate::mapping::{MappingMatrix, SpaceMap};
@@ -73,7 +72,6 @@ pub struct SpaceSearch<'a> {
     schedule: &'a LinearSchedule,
     entry_bound: i64,
     rows: usize,
-    condition: ConditionKind,
     budget: SearchBudget,
     tie_break: TieBreak,
     symmetry: SymmetryMode,
@@ -87,7 +85,6 @@ impl<'a> SpaceSearch<'a> {
             schedule,
             entry_bound: 2,
             rows: 1,
-            condition: ConditionKind::Exact,
             budget: SearchBudget::unlimited(),
             tie_break: TieBreak::default(),
             symmetry: SymmetryMode::default(),
@@ -106,12 +103,6 @@ impl<'a> SpaceSearch<'a> {
     /// rejected by [`SpaceSearch::solve`] with [`CfmapError::Unsupported`].
     pub fn rows(mut self, rows: usize) -> Self {
         self.rows = rows;
-        self
-    }
-
-    /// Conflict test to use (default exact).
-    pub fn condition(mut self, kind: ConditionKind) -> Self {
-        self.condition = kind;
         self
     }
 
@@ -136,9 +127,9 @@ impl<'a> SpaceSearch<'a> {
     /// symmetry stabilizer under the pinned `Π` row (default:
     /// [`SymmetryMode::Full`]). Quotienting screens one representative
     /// per orbit and is bit-identical to full enumeration when its
-    /// soundness preconditions hold — [`TieBreak::LexMax`],
-    /// [`ConditionKind::Exact`], an unlimited budget — and silently
-    /// degrades to full enumeration otherwise.
+    /// soundness preconditions hold — [`TieBreak::LexMax`] and an
+    /// unlimited budget — and silently degrades to full enumeration
+    /// otherwise.
     pub fn symmetry(mut self, mode: SymmetryMode) -> Self {
         self.symmetry = mode;
         self
@@ -186,7 +177,6 @@ impl<'a> SpaceSearch<'a> {
     fn active_quotient(&self) -> Option<Stabilizer> {
         if self.symmetry != SymmetryMode::Quotient
             || self.tie_break != TieBreak::LexMax
-            || self.condition != ConditionKind::Exact
             || !self.budget.is_unlimited()
         {
             return None;
@@ -199,16 +189,13 @@ impl<'a> SpaceSearch<'a> {
         Some(stab)
     }
 
-    /// The box-kernel table of the fixed `Π` row, built once per run for
-    /// the exact condition (see [`screen_space_rows`]).
+    /// The box-kernel table of the fixed `Π` row, built once per run
+    /// (see [`screen_space_rows`]).
     fn screen_table(&self) -> Option<BoxKernelTable> {
-        match self.condition {
-            ConditionKind::Exact => BoxKernelTable::build(
-                &IMat::from_rows(&[self.schedule.as_slice()]),
-                self.alg.index_set.mu(),
-            ),
-            ConditionKind::Paper => None,
-        }
+        BoxKernelTable::build(
+            &IMat::from_rows(&[self.schedule.as_slice()]),
+            self.alg.index_set.mu(),
+        )
     }
 
     /// Materialize the candidate space as cost levels: rows of the
@@ -342,7 +329,7 @@ impl<'a> SpaceSearch<'a> {
         table: Option<&BoxKernelTable>,
     ) -> Result<Option<SpaceOptimalMapping>, CfmapError> {
         let Some(mapping) =
-            screen_space_rows(self.alg, self.schedule, self.condition, table, refs, tel)
+            screen_space_rows(self.alg, self.schedule, table, refs, tel)
         else {
             return Ok(None);
         };
@@ -360,16 +347,15 @@ impl<'a> SpaceSearch<'a> {
 }
 
 /// Conditions 4 and 3 for the candidate space rows `rows` under the
-/// fixed schedule: the mapping `T = [S; Π]` when `rank(T) = k` and the
-/// configured conflict test accepts, else `None` with the rejection
-/// charged to `tel`. With the fixed `Π`'s box-kernel table both gates
-/// are dot products; without one (the paper's conditions, boxes too
-/// large to tabulate), or when a dot product leaves i128, one Hermite
-/// form of `T` decides them.
+/// fixed schedule: the mapping `T = [S; Π]` when `rank(T) = k` and `T`
+/// is conflict-free, else `None` with the rejection charged to `tel`.
+/// With the fixed `Π`'s box-kernel table both gates are dot products;
+/// without one (boxes too large to tabulate), or when a dot product
+/// leaves i128, one Hermite form of `T` and the exact lattice test
+/// decide them.
 pub(crate) fn screen_space_rows(
     alg: &Uda,
     schedule: &LinearSchedule,
-    condition: ConditionKind,
     table: Option<&BoxKernelTable>,
     rows: &[&[i64]],
     tel: &mut SearchTelemetry,
@@ -378,26 +364,22 @@ pub(crate) fn screen_space_rows(
     let table_gates = table.and_then(|t| {
         let full_rank = t.full_rank_rows(rows)?;
         let conflict_free = if full_rank { t.conflict_free_rows(rows)? } else { false };
-        Some((full_rank, ConditionRule::Exact, conflict_free))
+        Some((full_rank, conflict_free))
     });
-    let (full_rank, rule, accepts) = match table_gates {
+    let (full_rank, accepts) = match table_gates {
         Some(gates) => gates,
         None => {
             let analysis = ConflictAnalysis::new(&mapping, &alg.index_set);
             tel.hnf_computations += 1;
-            if analysis.rank() == mapping.k() {
-                let verdict = check(condition, &analysis, &alg.index_set);
-                (true, rule_for(condition, &analysis), verdict.accepts())
-            } else {
-                (false, ConditionRule::Exact, false)
-            }
+            let full_rank = analysis.rank() == mapping.k();
+            (full_rank, full_rank && analysis.is_conflict_free_exact())
         }
     };
     if !full_rank {
         tel.rejected_rank += 1;
         return None; // condition 4: rank(T) = k
     }
-    tel.condition_hits.record(rule);
+    tel.condition_hits.record(ConditionRule::Exact);
     if !accepts {
         tel.rejected_conflict += 1;
         return None; // condition 3: conflict-freedom

@@ -1,19 +1,23 @@
-//! Differential guarantees behind the unified screening core of
-//! `SpaceSearch` and `JointSearch`:
+//! Differential guarantees behind Problems 6.1 and 6.2:
 //!
 //! - `SpaceSearch` screens by the fixed `Π`'s box-kernel table; it must
 //!   match an in-test reference that screens the same cost-ordered pool
 //!   with the Hermite route (`rank()`, `is_conflict_free_exact()`) —
 //!   same design, cost, certification and `candidates_examined`.
 //! - The symmetry quotient under the `TieBreak::LexMax` pin must be
-//!   bit-identical to full enumeration: same design (space map /
-//!   schedule), same cost/score, same certification, but not the same
-//!   `candidates_examined` (the quotient screens fewer candidates by
-//!   design, the convention of `quotient_props.rs`).
+//!   bit-identical to full enumeration: same design, same cost, same
+//!   certification, but not the same `candidates_examined` (the
+//!   quotient screens fewer candidates by design, the convention of
+//!   `quotient_props.rs`).
+//! - Problem 6.2 is answered by the corners of the joint Pareto
+//!   frontier; both must equal an in-test reference that runs Procedure
+//!   5.1 on every canonical space row and prices each row from first
+//!   principles — same time, cost, space row and schedule, with or
+//!   without the symmetry quotient.
 
 use cfmap_core::{
-    find_valid_schedule, is_schedulable, Certification, ConflictAnalysis, JointCriterion,
-    JointOptimal, JointSearch, MappingMatrix, SearchOutcome, SpaceMap, SpaceOptimalMapping,
+    find_valid_schedule, is_schedulable, Certification, ConflictAnalysis, MappingMatrix,
+    ParetoPoint, ParetoSearch, Procedure51, SearchOutcome, SpaceMap, SpaceOptimalMapping,
     SpaceSearch, SymmetryMode, TieBreak,
 };
 use cfmap_model::{algorithms, LinearSchedule, Uda, UdaBuilder};
@@ -42,9 +46,9 @@ fn space_catalogue() -> Vec<(Uda, LinearSchedule, &'static str)> {
     out
 }
 
-/// The `JointSearch` corpus: problems small enough for the full outer ×
-/// inner product in debug builds, each with an objective cap that still
-/// contains its optimum.
+/// The Problem 6.2 corpus: problems small enough for the full row ×
+/// schedule product in debug builds, each with an objective cap that
+/// still contains both corners.
 fn joint_catalogue() -> Vec<(Uda, i64, &'static str)> {
     vec![
         (algorithms::matmul(3), 25, "matmul μ=3"),
@@ -67,20 +71,6 @@ fn assert_space_eq(
             assert_eq!(x.cost, y.cost, "{ctx}: cost");
             assert_eq!(x.processors, y.processors, "{ctx}: processors");
             assert_eq!(x.wire_length, y.wire_length, "{ctx}: wires");
-        }
-        (None, None) => {}
-        _ => panic!("{ctx}: mapping presence diverged"),
-    }
-}
-
-fn assert_joint_eq(a: &SearchOutcome<JointOptimal>, b: &SearchOutcome<JointOptimal>, ctx: &str) {
-    assert_eq!(a.certification, b.certification, "{ctx}: certification");
-    match (&a.mapping, &b.mapping) {
-        (Some(x), Some(y)) => {
-            assert_eq!(x.space, y.space, "{ctx}: space map");
-            assert_eq!(x.schedule, y.schedule, "{ctx}: schedule");
-            assert_eq!(x.total_time, y.total_time, "{ctx}: time");
-            assert_eq!(x.space_cost, y.space_cost, "{ctx}: space cost");
         }
         (None, None) => {}
         _ => panic!("{ctx}: mapping presence diverged"),
@@ -238,24 +228,69 @@ fn space_search_quotient_matches_full_enumeration_on_catalogue() {
     }
 }
 
+/// A Problem 6.2 design: time, cost, space row, schedule.
+type JointDesign = (i64, i64, Vec<i64>, Vec<i64>);
+
+/// Problem 6.2 from Procedure 5.1 alone: every canonical row's fastest
+/// design within `cap` (`TieBreak::LexMax`, so the lex-greatest schedule
+/// of its level), priced by [`reference_cost`]; then the design
+/// minimizing `key`, ties to the lex-greatest (row, schedule).
+fn reference_joint(
+    alg: &Uda,
+    bound: i64,
+    cap: i64,
+    key: fn(&JointDesign) -> (i64, i64),
+) -> Option<JointDesign> {
+    let designs: Vec<JointDesign> = canonical_rows(alg.dim(), bound)
+        .into_iter()
+        .filter_map(|row| {
+            let opt = Procedure51::new(alg, &SpaceMap::row(&row))
+                .tie_break(TieBreak::LexMax)
+                .max_objective(cap)
+                .solve()
+                .unwrap()
+                .into_mapping()?;
+            let cost = reference_cost(alg, std::slice::from_ref(&row));
+            Some((opt.total_time, cost, row, opt.schedule.as_slice().to_vec()))
+        })
+        .collect();
+    let best = designs.iter().map(key).min()?;
+    designs.into_iter().filter(|d| key(d) == best).max_by(|a, b| (&a.2, &a.3).cmp(&(&b.2, &b.3)))
+}
+
+/// Both corners of the joint frontier, with and without the quotient,
+/// against [`reference_joint`].
+fn assert_corners_match_reference(alg: &Uda, bound: i64, cap: i64, ctx: &str) {
+    let design = |p: &ParetoPoint| -> JointDesign {
+        let cost = p.processors as i64 + p.wires;
+        (p.total_time, cost, p.space_rows()[0].clone(), p.schedule.as_slice().to_vec())
+    };
+    let time_first = reference_joint(alg, bound, cap, |d| (d.0, d.1));
+    let space_first = reference_joint(alg, bound, cap, |d| (d.1, d.0));
+    for mode in [SymmetryMode::Full, SymmetryMode::Quotient] {
+        let frontier = ParetoSearch::new(alg)
+            .entry_bound(bound)
+            .max_objective(cap)
+            .symmetry(mode)
+            .solve()
+            .unwrap();
+        let ctx = format!("{ctx}, entry bound {bound}, {mode:?}");
+        assert_eq!(frontier.time_corner().map(design), time_first, "{ctx}: time-first");
+        assert_eq!(frontier.space_corner().map(design), space_first, "{ctx}: space-first");
+    }
+}
+
+/// Problem 6.2 differential: the joint frontier's corners are the
+/// per-row Procedure 5.1 reference's answers, on the catalogue at both
+/// entry bounds.
 #[test]
-fn joint_search_quotient_matches_full_enumeration_on_catalogue() {
-    for (alg, cap, name) in joint_catalogue() {
-        for criterion in [JointCriterion::TimeThenSpace, JointCriterion::SpaceThenTime] {
-            let full = JointSearch::new(&alg)
-                .criterion(criterion)
-                .tie_break(TieBreak::LexMax)
-                .max_objective(cap)
-                .solve()
-                .unwrap();
-            let quot = JointSearch::new(&alg)
-                .criterion(criterion)
-                .tie_break(TieBreak::LexMax)
-                .symmetry(SymmetryMode::Quotient)
-                .max_objective(cap)
-                .solve()
-                .unwrap();
-            assert_joint_eq(&full, &quot, &format!("{name} {criterion:?} quotient"));
+fn joint_corners_match_procedure51_reference_on_catalogue() {
+    let mut cases = joint_catalogue();
+    cases.push((algorithms::lu_decomposition(3), 25, "lu μ=3"));
+    cases.push((algorithms::identity_cube(3, 2), 15, "identity n=3"));
+    for (alg, cap, name) in &cases {
+        for bound in [1, 2] {
+            assert_corners_match_reference(alg, bound, *cap, name);
         }
     }
 }
@@ -283,8 +318,9 @@ cfmap_testkit::props! {
     /// Randomized differential, mirroring `quotient_props`: on generated
     /// 3-D problems (identity deps plus two extra columns — mostly
     /// trivial stabilizers, some symmetric), `SpaceSearch` matches the
-    /// Hermite-route reference, and the quotient agrees with full
-    /// enumeration for both searches.
+    /// Hermite-route reference and its quotient agrees with full
+    /// enumeration, and the joint frontier's corners match the
+    /// Procedure 5.1 reference.
     fn fast_routes_match_on_generated_problems(
         mu in gen::vec(2i64..=3, 3),
         extra in gen::vec(-2i64..=2, 6),
@@ -311,17 +347,8 @@ cfmap_testkit::props! {
             .unwrap();
         assert_space_eq(&full, &quot, "generated quotient");
 
-        let jfull = JointSearch::new(&alg)
-            .tie_break(TieBreak::LexMax)
-            .max_objective(12)
-            .solve()
-            .unwrap();
-        let jquot = JointSearch::new(&alg)
-            .tie_break(TieBreak::LexMax)
-            .symmetry(SymmetryMode::Quotient)
-            .max_objective(12)
-            .solve()
-            .unwrap();
-        assert_joint_eq(&jfull, &jquot, "generated joint quotient");
+        for bound in [1, 2] {
+            assert_corners_match_reference(&alg, bound, 12, "generated");
+        }
     }
 }

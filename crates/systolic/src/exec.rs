@@ -15,10 +15,8 @@
 //! * [`DepthKernel`] — the generic "longest dependence chain" kernel,
 //!   usable with *any* algorithm to validate scheduling structurally.
 //!
-//! [`execute`] runs sequentially; [`execute_parallel`] runs each cycle's
-//! computations on worker threads (`std::thread` scoped threads — cycles are
-//! synchronization barriers, exactly like the hardware), which doubles as
-//! a determinism check: both must produce identical results.
+//! [`execute`] runs the cycles in order; values computed in a cycle become
+//! visible only to later cycles, exactly like the hardware's registers.
 
 use cfmap_core::MappingMatrix;
 use cfmap_model::{Point, Uda};
@@ -26,9 +24,9 @@ use std::collections::HashMap;
 use std::fmt::Debug;
 
 /// A computation semantics for a uniform dependence algorithm.
-pub trait Kernel: Sync {
+pub trait Kernel {
     /// The value type flowing through the array.
-    type Value: Clone + Debug + PartialEq + Send + Sync;
+    type Value: Clone + Debug + PartialEq;
 
     /// Compute `v(j̄)`. `inputs[i]` is `Some(v(j̄ − d̄ᵢ))` when the
     /// predecessor is inside the index set, `None` when `j̄ − d̄ᵢ` falls
@@ -70,65 +68,6 @@ pub fn execute<K: Kernel>(alg: &Uda, mapping: &MappingMatrix, kernel: &K) -> Exe
             staged.push((j.clone(), kernel.compute(j, &inputs)));
         }
         values.extend(staged);
-    }
-    let cycles = times.last().map_or(0, |last| last - times[0] + 1);
-    ExecutionResult { values, cycles, causality_violations: violations }
-}
-
-/// One worker's output for a cycle: the `(point, value)` writes it
-/// staged plus any causality violations it observed.
-type StagedWrites<V> = Vec<((Point, V), Vec<(Point, usize)>)>;
-
-/// Execute with each cycle's computations spread across `threads` workers
-/// (`std::thread` scoped threads, barrier per cycle — the synchronous
-/// hardware model). Produces bit-identical results to [`execute`].
-pub fn execute_parallel<K: Kernel>(
-    alg: &Uda,
-    mapping: &MappingMatrix,
-    kernel: &K,
-    threads: usize,
-) -> ExecutionResult<K::Value> {
-    assert!(threads >= 1, "need at least one worker");
-    let mut by_time: HashMap<i64, Vec<Point>> = HashMap::new();
-    for j in alg.index_set.iter() {
-        by_time.entry(mapping.schedule().time_of(&j)).or_default().push(j);
-    }
-    let mut times: Vec<i64> = by_time.keys().copied().collect();
-    times.sort_unstable();
-
-    let mut values: HashMap<Point, K::Value> = HashMap::new();
-    let mut violations: Vec<(Point, usize)> = Vec::new();
-    for &t in &times {
-        let points = &by_time[&t];
-        let chunk = points.len().div_ceil(threads);
-        // Immutable view of past cycles shared across workers; each worker
-        // returns its staged writes (cycle barrier = scope join).
-        let staged: Vec<StagedWrites<K::Value>> =
-            std::thread::scope(|scope| {
-                let values_ref = &values;
-                let handles: Vec<_> = points
-                    .chunks(chunk.max(1))
-                    .map(|slice| {
-                        scope.spawn(move || {
-                            slice
-                                .iter()
-                                .map(|j| {
-                                    let (inputs, viols) =
-                                        gather_inputs(alg, mapping, values_ref, j, t);
-                                    ((j.clone(), kernel.compute(j, &inputs)), viols)
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-            });
-        for worker in staged {
-            for ((j, v), viols) in worker {
-                violations.extend(viols);
-                values.insert(j, v);
-            }
-        }
     }
     let cycles = times.last().map_or(0, |last| last - times[0] + 1);
     ExecutionResult { values, cycles, causality_violations: violations }
@@ -506,21 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_execution_is_deterministic() {
-        let mu = 3;
-        let alg = algorithms::matmul(mu);
-        let m =
-            MappingMatrix::new(SpaceMap::row(&[1, 1, -1]), LinearSchedule::new(&[1, 3, 1]));
-        let kernel = MatmulKernel::random((mu + 1) as usize, 99);
-        let seq = execute(&alg, &m, &kernel);
-        for threads in [1, 2, 4] {
-            let par = execute_parallel(&alg, &m, &kernel, threads);
-            assert_eq!(par.values, seq.values, "threads = {threads}");
-            assert!(par.causality_violations.is_empty());
-        }
-    }
-
-    #[test]
     fn convolution_array_computes_reference() {
         let (mu_out, mu_w) = (6, 3);
         let alg = algorithms::convolution(mu_out, mu_w);
@@ -557,17 +481,6 @@ mod tests {
                 assert_eq!(prod, a_ij, "A reconstruction at ({i},{j})");
             }
         }
-    }
-
-    #[test]
-    fn lu_parallel_matches_sequential() {
-        let mu = 3;
-        let alg = algorithms::lu_decomposition(mu);
-        let m = MappingMatrix::new(SpaceMap::row(&[0, 1, 0]), LinearSchedule::new(&[2, 1, 1]));
-        let kernel = LuKernel::random((mu + 1) as usize, 5);
-        let seq = execute(&alg, &m, &kernel);
-        let par = execute_parallel(&alg, &m, &kernel, 3);
-        assert_eq!(seq.values, par.values);
     }
 
     #[test]

@@ -58,11 +58,14 @@ echo "== smoke: CLI exit codes"
 CFMAP=target/release/cfmap
 "$CFMAP" map --alg matmul --mu 4 --space 1,1,-1 > /dev/null
 "$CFMAP" pareto --alg matmul --mu 4 --space 1,1,-1 > /dev/null
+"$CFMAP" joint --alg matmul --mu 3 > /dev/null
 set +e
 "$CFMAP" map --alg matmul --mu 4 --space 1,1,-1 --cap 2 > /dev/null 2>&1
 [ $? -eq 1 ] || { echo "expected exit 1 for infeasible"; exit 1; }
 "$CFMAP" frobnicate > /dev/null 2>&1
 [ $? -eq 2 ] || { echo "expected exit 2 for usage error"; exit 1; }
+"$CFMAP" joint --alg matmul --mu 3 --max-candidates 1 > /dev/null 2>&1
+[ $? -eq 3 ] || { echo "expected exit 3 for an exhausted joint budget"; exit 1; }
 set -e
 
 echo "== smoke: cfmapd round trip (ephemeral port, stdin-EOF shutdown)"

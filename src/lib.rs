@@ -66,8 +66,8 @@ pub mod prelude {
     pub use cfmap_core::prop81::prop_8_1_basis;
     pub use cfmap_core::{
         diagnose, BudgetLimit, CancelToken, Certification, CfmapError, Check, Deadline,
-        InterconnectionPrimitives, JointCriterion, JointOptimal, JointSearch, MappingDiagnosis,
-        MappingMatrix, OptimalMapping, ParetoFrontier, ParetoPoint, ParetoSearch, Procedure51,
+        InterconnectionPrimitives, MappingDiagnosis, MappingMatrix, OptimalMapping,
+        ParetoFrontier, ParetoPoint, ParetoSearch, Procedure51,
         ResourceModel, SearchBudget, SearchOutcome, SpaceMap, TieBreak,
         SpaceOptimalMapping, SpaceSearch,
     };
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use cfmap_intlin::{hermite_normal_form, smith_normal_form, IMat, IVec, Int, Rat};
     pub use cfmap_model::{algorithms, DependenceMatrix, IndexSet, LinearSchedule, Uda, UdaBuilder};
     pub use cfmap_systolic::diagram::{block_diagram, space_time_diagram};
-    pub use cfmap_systolic::exec::{execute, execute_parallel};
+    pub use cfmap_systolic::exec::execute;
     pub use cfmap_systolic::{
         ArrayDesign, ConvolutionKernel, DepthKernel, DesignError, Kernel, LuKernel,
         MatmulKernel, SimReport, Simulator, SystolicArray, UtilizationStats,

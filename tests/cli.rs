@@ -90,6 +90,10 @@ fn joint_finds_problem_6_2_design() {
     let (ok, stdout, _) = cfmap(&["joint", "--alg", "matmul", "--mu", "3", "--criterion", "space"]);
     assert!(ok);
     assert!(stdout.contains("space cost"), "{stdout}");
+    // `--max-candidates` counts screened schedules: one finds no design.
+    let (code, _, stderr) =
+        cfmap_code(&["joint", "--alg", "matmul", "--mu", "3", "--max-candidates", "1"]);
+    assert_eq!(code, 3, "an exhausted budget is a structured failure: {stderr}");
 }
 
 #[test]

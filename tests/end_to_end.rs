@@ -59,7 +59,7 @@ fn full_pipeline_over_the_library() {
 }
 
 /// Numeric end-to-end: the mapped matmul array multiplies matrices for a
-/// range of sizes, sequentially and in parallel.
+/// range of sizes.
 #[test]
 fn matmul_numeric_sweep() {
     for mu in 2..=5i64 {
@@ -67,11 +67,9 @@ fn matmul_numeric_sweep() {
         let s = SpaceMap::row(&[1, 1, -1]);
         let opt = Procedure51::new(&alg, &s).solve().unwrap().expect_optimal("solvable");
         let kernel = MatmulKernel::random((mu + 1) as usize, mu as u64);
-        let seq = execute(&alg, &opt.mapping, &kernel);
-        assert!(seq.causality_violations.is_empty());
-        assert_eq!(kernel.extract_product(&seq, mu), kernel.reference_product(), "μ = {mu}");
-        let par = execute_parallel(&alg, &opt.mapping, &kernel, 4);
-        assert_eq!(par.values, seq.values, "μ = {mu} parallel determinism");
+        let result = execute(&alg, &opt.mapping, &kernel);
+        assert!(result.causality_violations.is_empty());
+        assert_eq!(kernel.extract_product(&result, mu), kernel.reference_product(), "μ = {mu}");
     }
 }
 

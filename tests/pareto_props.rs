@@ -536,7 +536,7 @@ fn space_corner_is_bit_identical_to_space_search_on_catalogue() {
 // Layer 3: determinism across every fast route.
 // ---------------------------------------------------------------------
 
-/// The `JointSearch`-sized corpus for determinism runs.
+/// The joint-scope corpus for determinism runs.
 fn joint_catalogue() -> Vec<(Uda, i64, &'static str)> {
     vec![
         (algorithms::matmul(3), 25, "matmul μ=3"),

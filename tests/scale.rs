@@ -23,9 +23,9 @@ fn matmul_mu_12_full_stack() {
     assert_eq!(report.makespan(), mu * (mu + 2) + 1);
     assert_eq!(report.computations, 13u64.pow(3));
 
-    // Numeric: a 13×13 matrix product, parallel execution.
+    // Numeric: a 13×13 matrix product.
     let kernel = MatmulKernel::random((mu + 1) as usize, 3);
-    let result = execute_parallel(&alg, &mapping, &kernel, 4);
+    let result = execute(&alg, &mapping, &kernel);
     assert!(result.causality_violations.is_empty());
     assert_eq!(kernel.extract_product(&result, mu), kernel.reference_product());
 }
