@@ -613,41 +613,12 @@ fn dispatch(
     workers: usize,
     accepted_us: u64,
 ) -> (u16, &'static str, String) {
+    if method == "POST" {
+        if let Some((status, body)) = answer_post(engine, path, body, accepted_us) {
+            return (status, CT_JSON, body);
+        }
+    }
     match (method, path) {
-        ("POST", "/map") => match MapRequest::from_str(body) {
-            Ok(req) => {
-                let resp = engine.resolve_anchored(&req, accepted_us);
-                (resp.http_status(), CT_JSON, resp.to_json().serialize())
-            }
-            Err(e) => {
-                let resp = MapResponse::BadRequest { msg: e.msg };
-                (resp.http_status(), CT_JSON, resp.to_json().serialize())
-            }
-        },
-        ("POST", "/pareto") => match ParetoRequest::from_str(body) {
-            Ok(req) => {
-                let resp = engine.pareto(&req);
-                (resp.http_status(), CT_JSON, resp.to_json().serialize())
-            }
-            Err(e) => {
-                let resp = ParetoResponse::BadRequest { msg: e.msg };
-                (resp.http_status(), CT_JSON, resp.to_json().serialize())
-            }
-        },
-        ("POST", "/batch") => match parse_batch(body) {
-            Ok(reqs) => {
-                let (responses, solves) = engine.resolve_batch_anchored(&reqs, accepted_us);
-                let json = Json::Obj(vec![
-                    (
-                        "responses".into(),
-                        Json::Arr(responses.iter().map(MapResponse::to_json).collect()),
-                    ),
-                    ("distinct_solves".into(), Json::Int(solves as i64)),
-                ]);
-                (200, CT_JSON, json.serialize())
-            }
-            Err(msg) => (400, CT_JSON, error_body(&msg)),
-        },
         ("GET", "/stats") => {
             let cache = engine.cache_stats();
             let search = engine.search_stats();
@@ -820,6 +791,48 @@ fn family_stats_json(f: &crate::family_store::FamilyStats) -> Json {
         ("fit_certified".into(), Json::Int(i64::try_from(f.fit_certified).unwrap_or(i64::MAX))),
         ("fit_failed".into(), Json::Int(i64::try_from(f.fit_failed).unwrap_or(i64::MAX))),
     ])
+}
+
+/// The status and JSON body the daemon answers a `POST` to one of the
+/// engine's routes (`/map`, `/pareto`, `/batch`) with, or `None` for any
+/// other path. `accepted_us` anchors `deadline_ms` on the budget clock.
+pub fn answer_post(
+    engine: &Engine,
+    path: &str,
+    body: &str,
+    accepted_us: u64,
+) -> Option<(u16, String)> {
+    Some(match path {
+        "/map" => {
+            let resp = match MapRequest::from_str(body) {
+                Ok(req) => engine.resolve_anchored(&req, accepted_us),
+                Err(e) => MapResponse::BadRequest { msg: e.msg },
+            };
+            (resp.http_status(), resp.to_json().serialize())
+        }
+        "/pareto" => {
+            let resp = match ParetoRequest::from_str(body) {
+                Ok(req) => engine.pareto(&req),
+                Err(e) => ParetoResponse::BadRequest { msg: e.msg },
+            };
+            (resp.http_status(), resp.to_json().serialize())
+        }
+        "/batch" => match parse_batch(body) {
+            Ok(reqs) => {
+                let (responses, solves) = engine.resolve_batch_anchored(&reqs, accepted_us);
+                let json = Json::Obj(vec![
+                    (
+                        "responses".into(),
+                        Json::Arr(responses.iter().map(MapResponse::to_json).collect()),
+                    ),
+                    ("distinct_solves".into(), Json::Int(solves as i64)),
+                ]);
+                (200, json.serialize())
+            }
+            Err(msg) => (400, error_body(&msg)),
+        },
+        _ => return None,
+    })
 }
 
 /// Parse `{"requests": […]}`.
