@@ -33,7 +33,7 @@ pub mod rtl;
 pub mod sim;
 pub mod stats;
 
-pub use array::SystolicArray;
+pub use array::{count_processors, processor_span, SystolicArray, MAX_PROCESSOR_SPAN};
 pub use design::{ArrayDesign, DesignError};
 pub use exec::{ConvolutionKernel, DepthKernel, Kernel, LuKernel, MatmulKernel};
 pub use links::{peak_link_load, ChannelReport, ChannelStats, Collision};

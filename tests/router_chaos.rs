@@ -549,6 +549,35 @@ fn provably_unusable_batches_reject_locally_without_a_forward() {
     backend.stop();
 }
 
+/// A `/map` whose processor count would need a bitset past the span
+/// bound is one every backend refuses, so the router answers the
+/// backend's own 400 body itself, without a forward.
+#[test]
+fn over_span_maps_get_the_backend_400_without_a_forward() {
+    let backend = BackendProc::spawn();
+    let router = start_router(std::slice::from_ref(&backend.addr));
+    assert!(
+        wait_until(Duration::from_secs(5), || {
+            client::get(&router.addr, "/readyz").map(|r| r.status == 200).unwrap_or(false)
+        }),
+        "router never became ready"
+    );
+    // One space row with a gap over a box of 2^20 + 1 points.
+    let body = "{\"mu\":[524285,2],\"deps\":[[0,1]],\"space\":[[2,3]]}";
+    let direct = client::post(&backend.addr, "/map", body).expect("backend answers");
+    assert_eq!(direct.status, 400, "{}", direct.body);
+    assert!(direct.body.contains("processor-span bound 2^20"), "{}", direct.body);
+    let routed = client::post(&router.addr, "/map", body).expect("router answers");
+    assert_eq!((routed.status, &routed.body), (direct.status, &direct.body));
+    assert_eq!(
+        router_metric(&router.addr, "cfmapd_router_requests_total", Some(&backend.addr)),
+        None,
+        "the router must answer without forwarding"
+    );
+    stop_router(router);
+    backend.stop();
+}
+
 /// Sequential keep-alive exchanges must not stall. On one `Client`, the
 /// median round trip straight to a backend and through the router stays
 /// below Linux's 40 ms delayed-ACK floor; a message written as head then

@@ -10,7 +10,7 @@ use cfmap::service::wire::{MapRequest, MapResponse};
 use std::str::FromStr;
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A running daemon that is shut down (or killed) when dropped.
 struct Daemon {
@@ -166,6 +166,27 @@ fn wire_errors_map_to_http_statuses() {
     let reply = client::get(&addr, "/healthz").expect("reply");
     assert_eq!(reply.status, 200);
 
+    daemon.stop();
+}
+
+/// A deadline bounds the whole answer, not just the search: nothing
+/// after the search walks the index box, so matmul μ = 400 (4.1·10⁷
+/// index points) under a 5 ms budget comes back best-effort at once,
+/// with the 3μ + 1 processors of `S = [1, 1, −1]` counted in closed form.
+#[test]
+fn a_timeout_bounds_a_large_box_map() {
+    let daemon = Daemon::spawn(&[]);
+    let req = MapRequest {
+        timeout_ms: Some(5),
+        ..MapRequest::named("matmul", 400, vec![vec![1, 1, -1]])
+    };
+    let started = Instant::now();
+    let resp = client::map(&daemon.addr, &req).expect("map call");
+    let elapsed = started.elapsed();
+    let MapResponse::Ok(o) = &resp else { panic!("expected ok, got {resp:?}") };
+    assert!(matches!(o.certification, Certification::BestEffort { .. }), "{o:?}");
+    assert_eq!(o.processors, 1201);
+    assert!(elapsed < Duration::from_millis(250), "answered after {elapsed:?}");
     daemon.stop();
 }
 
