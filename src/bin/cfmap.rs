@@ -382,16 +382,22 @@ fn cmd_joint(opts: &Opts) -> Result<(), CliError> {
     let p = corner.ok_or_else(|| {
         CliError::Infeasible("no conflict-free joint design within the objective cap Σ μ_i(μ_i + 3)".into())
     })?;
-    let certification = match frontier.telemetry.budget_limit {
-        Some(_) => Certification::BestEffort { candidates_examined: frontier.candidates_examined },
-        None => Certification::Optimal,
-    };
+    let certification = frontier_certification(&frontier);
     println!("space map  : {}", p.space);
     println!("schedule   : {}", p.schedule);
     println!("total time : {} cycles", p.total_time);
     println!("space cost : {} (sites + wires)", p.space_cost());
     println!("certified  : {certification}");
     Ok(())
+}
+
+/// A frontier the search budget cut short is best-effort: its points
+/// are real designs, but the frontier may be missing some.
+fn frontier_certification(frontier: &ParetoFrontier) -> Certification {
+    match frontier.telemetry.budget_limit {
+        Some(_) => Certification::BestEffort { candidates_examined: frontier.candidates_examined },
+        None => Certification::Optimal,
+    }
 }
 
 fn cmd_bounds(opts: &Opts) -> Result<(), CliError> {
@@ -594,7 +600,7 @@ fn cmd_pareto(opts: &Opts) -> Result<(), CliError> {
     };
     let tracks_bandwidth = model.tracks_bandwidth();
     let probe = |m: &MappingMatrix| cfmap::systolic::peak_link_load(&alg, m);
-    let mut search = ParetoSearch::new(&alg).resources(model);
+    let mut search = ParetoSearch::new(&alg).resources(model).budget(get_budget(opts)?);
     if let Some(s) = &space {
         search = search.fixed_space(s);
     }
@@ -614,8 +620,12 @@ fn cmd_pareto(opts: &Opts) -> Result<(), CliError> {
     let frontier = search.solve().map_err(CliError::Failed)?;
     let elapsed = started.elapsed();
     println!("algorithm : {}", alg.name);
+    let cut = match frontier_certification(&frontier) {
+        Certification::Optimal => String::new(),
+        best_effort => format!(", {best_effort}"),
+    };
     println!(
-        "frontier  : {} points ({} dominated/duplicate pruned, {} candidates, {} µs)",
+        "frontier  : {} points ({} dominated/duplicate pruned, {} candidates, {} µs){cut}",
         frontier.len(),
         frontier.dominated_pruned,
         frontier.candidates_examined,

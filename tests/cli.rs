@@ -97,6 +97,27 @@ fn joint_finds_problem_6_2_design() {
 }
 
 #[test]
+fn pareto_honours_its_search_budget() {
+    // The full joint frontier of matmul μ = 4 screens 21,840 candidates.
+    let (ok, stdout, _) = cfmap(&["pareto", "--alg", "matmul", "--mu", "4"]);
+    assert!(ok);
+    assert!(stdout.contains("21840 candidates"), "{stdout}");
+    assert!(!stdout.contains("best-effort"), "{stdout}");
+    // One candidate finds no design: a structured failure.
+    let (code, _, stderr) =
+        cfmap_code(&["pareto", "--alg", "matmul", "--mu", "4", "--max-candidates", "1"]);
+    assert_eq!(code, 3, "an exhausted budget is a structured failure: {stderr}");
+    // Half the count cuts the frontier short, keeping what it found.
+    let (code, stdout, stderr) =
+        cfmap_code(&["pareto", "--alg", "matmul", "--mu", "4", "--max-candidates", "10920"]);
+    assert_eq!(code, 0, "{stderr}");
+    let header = stdout.lines().find(|l| l.starts_with("frontier")).expect("header line");
+    assert!(header.contains("10920 candidates") && header.contains("best-effort"), "{header}");
+    assert!(!header.contains(": 0 points"), "{header}");
+    assert!(stdout.contains("Π="), "a cut frontier still lists its points: {stdout}");
+}
+
+#[test]
 fn bounds_reports_floors() {
     let (ok, stdout, _) = cfmap(&["bounds", "--alg", "matmul", "--mu", "4"]);
     assert!(ok);
