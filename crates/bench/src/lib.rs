@@ -142,6 +142,21 @@ fn s(x: impl ToString) -> String {
     x.to_string()
 }
 
+/// The first of five runs of `solve`, and the fastest of their times: a
+/// single cold solve mostly times the first touch of the code and data.
+fn best_of_five<T>(mut solve: impl FnMut() -> T) -> (T, std::time::Duration) {
+    let mut timed = || {
+        let t0 = Instant::now();
+        let out = solve();
+        (out, t0.elapsed())
+    };
+    let (first, mut best) = timed();
+    for _ in 1..5 {
+        best = best.min(timed().1);
+    }
+    (first, best)
+}
+
 /// E1 — Figure 1: feasible vs non-feasible conflict vectors over
 /// `J = {0..4}²`, Theorem 2.2 vs brute force.
 pub fn e1_feasibility() -> ExperimentReport {
@@ -1010,9 +1025,7 @@ pub fn e17_pareto_frontiers() -> ExperimentReport {
     // winner, schedule and makespan bit-identical.
     let alg = algorithms::matmul(fixed_mu);
     let space = SpaceMap::row(&[1, 1, -1]);
-    let t0 = Instant::now();
-    let f = ParetoSearch::new(&alg).fixed_space(&space).solve().unwrap();
-    let t_fs = t0.elapsed();
+    let (f, t_fs) = best_of_five(|| ParetoSearch::new(&alg).fixed_space(&space).solve().unwrap());
     let classic = Procedure51::new(&alg, &space)
         .tie_break(TieBreak::LexMax)
         .solve()
@@ -1039,9 +1052,7 @@ pub fn e17_pareto_frontiers() -> ExperimentReport {
     // winner, space map, PE count and wire length bit-identical.
     let pi_vec: Vec<i64> = if smoke { vec![1, 1, 1] } else { vec![1, 4, 1] };
     let pi = LinearSchedule::new(&pi_vec);
-    let t0 = Instant::now();
-    let f = ParetoSearch::new(&alg).fixed_schedule(&pi).solve().unwrap();
-    let t_fp = t0.elapsed();
+    let (f, t_fp) = best_of_five(|| ParetoSearch::new(&alg).fixed_schedule(&pi).solve().unwrap());
     let sol = SpaceSearch::new(&alg, &pi)
         .tie_break(TieBreak::LexMax)
         .solve()
@@ -1065,9 +1076,7 @@ pub fn e17_pareto_frontiers() -> ExperimentReport {
         (algorithms::matmul(joint_mu), joint_cap, format!("matmul μ={joint_mu}")),
         (algorithms::transitive_closure(joint_mu), tc_cap, format!("tc μ={joint_mu}")),
     ] {
-        let t0 = Instant::now();
-        let f = ParetoSearch::new(&alg).max_objective(cap).solve().unwrap();
-        let t = t0.elapsed();
+        let (f, t) = best_of_five(|| ParetoSearch::new(&alg).max_objective(cap).solve().unwrap());
         tel.merge(&f.telemetry);
         push(name, "joint", 3, &f, "—", t);
     }
@@ -1079,18 +1088,18 @@ pub fn e17_pareto_frontiers() -> ExperimentReport {
     let alg = algorithms::matmul(joint_mu);
     let probe = |m: &MappingMatrix| peak_link_load(&alg, m);
     for (budget, label) in [(None, "joint +bw"), (Some(1u64), "joint +bw ≤1")] {
-        let t0 = Instant::now();
-        let f = ParetoSearch::new(&alg)
-            .max_objective(joint_cap)
-            .resources(ResourceModel {
-                max_bandwidth: budget,
-                include_bandwidth: true,
-                ..Default::default()
-            })
-            .bandwidth_probe(&probe)
-            .solve()
-            .unwrap();
-        let t = t0.elapsed();
+        let (f, t) = best_of_five(|| {
+            ParetoSearch::new(&alg)
+                .max_objective(joint_cap)
+                .resources(ResourceModel {
+                    max_bandwidth: budget,
+                    include_bandwidth: true,
+                    ..Default::default()
+                })
+                .bandwidth_probe(&probe)
+                .solve()
+                .unwrap()
+        });
         if let Some(b) = budget {
             assert!(
                 f.points.iter().all(|p| p.bandwidth.is_some_and(|bw| bw <= b)),
@@ -1114,7 +1123,7 @@ pub fn e17_pareto_frontiers() -> ExperimentReport {
             "corner check".into(),
             "dominated pruned".into(),
             "candidates examined".into(),
-            "duration".into(),
+            "duration (best of 5)".into(),
         ],
         rows,
         notes: vec![
@@ -1271,17 +1280,9 @@ pub fn e12_joint_and_bounds() -> ExperimentReport {
     for (name, alg, fixed_s_time) in &cases {
         let cp = bounds::critical_path(alg);
         let lin = bounds::linear_schedule_bound(alg, 80).map_or("—".into(), |t| t.to_string());
-        // Best of five solves: a single cold solve mostly times the
-        // first touch of the code and data.
-        let solve = || {
-            let t0 = Instant::now();
-            let f = ParetoSearch::new(alg).entry_bound(1).symmetry(SymmetryMode::Quotient).solve();
-            (f.unwrap(), t0.elapsed())
-        };
-        let (frontier, mut elapsed) = solve();
-        for _ in 1..5 {
-            elapsed = elapsed.min(solve().1);
-        }
+        let (frontier, elapsed) = best_of_five(|| {
+            ParetoSearch::new(alg).entry_bound(1).symmetry(SymmetryMode::Quotient).solve().unwrap()
+        });
         let fmt = |o: Option<&ParetoPoint>| match o {
             Some(p) => {
                 format!("t={} cost={} (S={:?})", p.total_time, p.space_cost(), p.space_rows()[0])
