@@ -1,10 +1,9 @@
-//! E11/E12 — Problems 6.1 and 6.2: cost of the space-optimal and joint
-//! searches.
+//! E11/E12 — Problems 6.1 and 6.2: cost of the fixed-schedule and joint
+//! frontier searches whose corners answer them.
 
 use cfmap_bench::timing::{bench, group};
 use cfmap_core::pareto::ParetoSearch;
 use cfmap_core::search::SymmetryMode;
-use cfmap_core::space_search::SpaceSearch;
 use cfmap_model::{algorithms, bounds, LinearSchedule};
 use std::hint::black_box;
 
@@ -13,18 +12,16 @@ fn main() {
     for mu in [3i64, 4] {
         let alg = algorithms::matmul(mu);
         let pi = LinearSchedule::new(&[1, mu, 1]);
-        bench(&format!("bound1/{mu}"), || {
-            SpaceSearch::new(black_box(&alg), &pi).entry_bound(1).solve().unwrap()
-        });
-        bench(&format!("bound2/{mu}"), || {
-            SpaceSearch::new(black_box(&alg), &pi).entry_bound(2).solve().unwrap()
-        });
+        let search = |bound| ParetoSearch::new(black_box(&alg)).fixed_schedule(&pi).entry_bound(bound);
+        bench(&format!("bound1/{mu}"), || search(1).solve().unwrap());
+        bench(&format!("bound2/{mu}"), || search(2).solve().unwrap());
     }
     {
         let alg = algorithms::bitlevel_convolution(2, 2);
         let pi = LinearSchedule::new(&[1, 1, 1, 3]);
         bench("two_rows_bitlevel", || {
-            SpaceSearch::new(black_box(&alg), &pi).rows(2).entry_bound(1).solve().unwrap()
+            let search = ParetoSearch::new(black_box(&alg)).fixed_schedule(&pi);
+            search.rows(2).entry_bound(1).solve().unwrap()
         });
     }
 

@@ -4,7 +4,7 @@
 //! `T` conflicts iff some nonzero `γ` with `|γ_i| ≤ μ_i` has `Tγ = 0`,
 //! that is `Sγ = 0` and `Π·γ = 0`. When one block `F` — the space map
 //! `S` of a Procedure 5.1 search, or the schedule row `Π` of a
-//! `SpaceSearch` or fixed-schedule `ParetoSearch` — and the index box
+//! fixed-schedule `ParetoSearch` — and the index box
 //! never change, half of that condition is a property of the search,
 //! not of the candidate: the set `K = {γ ≠ 0 : Fγ = 0, |γ_i| ≤ μ_i}` is
 //! listed once, up to sign and scaling (primitive, first nonzero entry
@@ -352,9 +352,8 @@ mod tests {
     use super::*;
     use crate::conflict::ConflictAnalysis;
     use crate::mapping::{MappingMatrix, SpaceMap};
-    use crate::search::{enumerate_weighted, Procedure51, TieBreak};
-    use crate::space_search::canonical_rows;
-    use crate::SpaceSearch;
+    use crate::pareto::{canonical_rows, ParetoSearch};
+    use crate::search::{enumerate_weighted, Procedure51};
     use cfmap_model::{algorithms, LinearSchedule, Uda, UdaBuilder};
     use cfmap_testkit::gen;
 
@@ -469,7 +468,7 @@ mod tests {
     }
 
     /// The schedule side: under the fixed `pi`, every row of the
-    /// `SpaceSearch` pool with entries in `[−bound, bound]` and, up to
+    /// fixed-schedule frontier's pool with entries in `[−bound, bound]` and, up to
     /// `pairs_max` of them spread evenly over the pool, its 2-row pairs
     /// (rank-deficient pairs included) must get the HNF route's
     /// verdicts: `full_rank_rows` is `rank() == k` and, past the rank
@@ -559,20 +558,18 @@ mod tests {
     fn space_search_tabulates_its_schedule_up_to_the_build_cap() {
         // Matmul with Π = [1, μ, 1] has two free coordinates: μ = 63
         // needs 127² = 16,129 build points (tabulated), μ = 64 needs 129²
-        // (one Hermite form per candidate instead).
+        // (one Hermite form per screened space map instead).
         for (mu, tabulated) in [(63, true), (64, false)] {
             let alg = algorithms::matmul(mu);
             let pi = LinearSchedule::new(&[1, mu, 1]);
-            for tb in [TieBreak::FirstFound, TieBreak::LexMax] {
-                let out = SpaceSearch::new(&alg, &pi).tie_break(tb).solve().unwrap();
-                let t = &out.telemetry;
-                assert!(out.is_optimal(), "μ = {mu}: {t:?}");
-                assert_eq!(t.condition_hits.exact, t.enumerated - t.rejected_rank, "{t:?}");
-                if tabulated {
-                    assert_eq!(t.hnf_computations, 0, "μ = {mu}: {t:?}");
-                } else {
-                    assert_eq!(t.hnf_computations, t.enumerated, "μ = {mu}: {t:?}");
-                }
+            let f = ParetoSearch::new(&alg).fixed_schedule(&pi).solve().unwrap();
+            let t = &f.telemetry;
+            assert!(f.space_corner().is_some(), "μ = {mu}: {t:?}");
+            assert_eq!(t.condition_hits.exact, t.enumerated - t.rejected_rank, "{t:?}");
+            if tabulated {
+                assert_eq!(t.hnf_computations, 0, "μ = {mu}: {t:?}");
+            } else {
+                assert_eq!(t.hnf_computations, t.enumerated, "μ = {mu}: {t:?}");
             }
         }
     }

@@ -1,14 +1,16 @@
 //! Differential guarantees behind Problems 6.1 and 6.2:
 //!
-//! - `SpaceSearch` screens by the fixed `Π`'s box-kernel table; it must
-//!   match an in-test reference that screens the same cost-ordered pool
-//!   with the Hermite route (`rank()`, `is_conflict_free_exact()`) —
-//!   same design, cost, certification and `candidates_examined`.
-//! - The symmetry quotient under the `TieBreak::LexMax` pin must be
-//!   bit-identical to full enumeration: same design, same cost, same
-//!   certification, but not the same `candidates_examined` (the
-//!   quotient screens fewer candidates by design, the convention of
-//!   `quotient_props.rs`).
+//! - Problem 6.1 is answered by the space corner of the fixed-schedule
+//!   Pareto frontier, which screens by the fixed `Π`'s box-kernel table;
+//!   it must match an in-test reference that screens the same
+//!   cost-ordered pool with the Hermite route (`rank()`,
+//!   `is_conflict_free_exact()`) — same design, cost and certification.
+//!   The frontier screens the whole pool, so its `candidates_examined`
+//!   is the pool's size.
+//! - The symmetry quotient must leave the fixed-schedule frontier
+//!   bit-identical to full enumeration, point for point, but not its
+//!   `candidates_examined` (the quotient screens fewer candidates by
+//!   design, the convention of `quotient_props.rs`).
 //! - Problem 6.2 is answered by the corners of the joint Pareto
 //!   frontier; both must equal an in-test reference that runs Procedure
 //!   5.1 on every canonical space row and prices each row from first
@@ -17,14 +19,13 @@
 
 use cfmap_core::{
     find_valid_schedule, is_schedulable, Certification, ConflictAnalysis, MappingMatrix,
-    ParetoPoint, ParetoSearch, Procedure51, SearchOutcome, SpaceMap, SpaceOptimalMapping,
-    SpaceSearch, SymmetryMode, TieBreak,
+    ParetoFrontier, ParetoPoint, ParetoSearch, Procedure51, SpaceMap, SymmetryMode, TieBreak,
 };
 use cfmap_model::{algorithms, LinearSchedule, Uda, UdaBuilder};
 use cfmap_testkit::{gen, tk_assume};
 
 /// The n ≤ 4 catalogue with a fixed valid schedule per problem — the
-/// `SpaceSearch` differential corpus. Schedules are the paper's designs
+/// Problem 6.1 differential corpus. Schedules are the paper's designs
 /// where one exists, otherwise the LP witness.
 fn space_catalogue() -> Vec<(Uda, LinearSchedule, &'static str)> {
     let mut out = vec![
@@ -59,25 +60,30 @@ fn joint_catalogue() -> Vec<(Uda, i64, &'static str)> {
     ]
 }
 
-fn assert_space_eq(
-    a: &SearchOutcome<SpaceOptimalMapping>,
-    b: &SearchOutcome<SpaceOptimalMapping>,
-    ctx: &str,
-) {
-    assert_eq!(a.certification, b.certification, "{ctx}: certification");
-    match (&a.mapping, &b.mapping) {
-        (Some(x), Some(y)) => {
-            assert_eq!(x.space, y.space, "{ctx}: space map");
-            assert_eq!(x.cost, y.cost, "{ctx}: cost");
-            assert_eq!(x.processors, y.processors, "{ctx}: processors");
-            assert_eq!(x.wire_length, y.wire_length, "{ctx}: wires");
-        }
-        (None, None) => {}
-        _ => panic!("{ctx}: mapping presence diverged"),
-    }
+/// The fixed-schedule frontier of `alg` under `pi`: `rows`-row space
+/// maps with entries in `[−bound, bound]`.
+fn fixed_schedule_frontier(
+    alg: &Uda,
+    pi: &LinearSchedule,
+    rows: usize,
+    bound: i64,
+    mode: SymmetryMode,
+) -> ParetoFrontier {
+    ParetoSearch::new(alg)
+        .fixed_schedule(pi)
+        .rows(rows)
+        .entry_bound(bound)
+        .symmetry(mode)
+        .solve()
+        .unwrap()
 }
 
-/// The `SpaceSearch` candidate pool recomputed independently: every row
+/// Every frontier point as `(S rows, PEs, wires)`, in frontier order.
+fn designs(f: &ParetoFrontier) -> Vec<(Vec<Vec<i64>>, usize, i64)> {
+    f.points.iter().map(|p| (p.space_rows(), p.processors, p.wires)).collect()
+}
+
+/// The canonical row pool recomputed independently: every row
 /// with entries in `[−bound, bound]` whose first nonzero entry is
 /// positive, lex-ascending.
 fn canonical_rows(n: usize, bound: i64) -> Vec<Vec<i64>> {
@@ -116,22 +122,22 @@ fn reference_cost(alg: &Uda, rows: &[Vec<i64>]) -> i64 {
     sites + wires
 }
 
-/// What a space search reports: certification, candidates examined, and
-/// the winner's rows and cost.
+/// What a Problem 6.1 search reports: certification, candidates
+/// examined, and the winner's rows and cost.
 type SpaceVerdict = (Certification, u64, Option<(Vec<Vec<i64>>, i64)>);
 
-/// `SpaceSearch` without its table route: the same pool — 1-row maps, or
+/// Problem 6.1 without the table route: the pool — 1-row maps, or
 /// lex-ordered pairs of distinct rows of rank 2 — ordered by cost (a
 /// stable sort, so lex-ascending within a cost), each candidate screened
-/// by one Hermite form of `[S; Π]` and the exact lattice test.
-/// `FirstFound` stops at the first acceptance, `LexMax` at the end of its
-/// cost level and keeps the last acceptance.
+/// by one Hermite form of `[S; Π]` and the exact lattice test up to the
+/// end of the cheapest accepting cost, whose last acceptance is the
+/// lex-greatest. The frontier screens every candidate, so the count is
+/// the pool's size (0 when `Π` violates condition 1).
 fn reference_space_search(
     alg: &Uda,
     pi: &LinearSchedule,
     rows: usize,
     bound: i64,
-    tie_break: TieBreak,
 ) -> SpaceVerdict {
     if !pi.is_valid_for(&alg.deps) {
         return (Certification::Infeasible, 0, None);
@@ -153,22 +159,18 @@ fn reference_space_search(
         }
     }
     candidates.sort_by_key(|c| reference_cost(alg, c));
-    let mut examined = 0u64;
+    let examined = candidates.len() as u64;
     let mut best: Option<(Vec<Vec<i64>>, i64)> = None;
     for rows in candidates {
         let cost = reference_cost(alg, &rows);
         if best.as_ref().is_some_and(|(_, c)| cost > *c) {
             break;
         }
-        examined += 1;
         let refs: Vec<&[i64]> = rows.iter().map(Vec::as_slice).collect();
         let mapping = MappingMatrix::new(SpaceMap::from_rows(&refs), pi.clone());
         let analysis = ConflictAnalysis::new(&mapping, &alg.index_set);
         if analysis.rank() == mapping.k() && analysis.is_conflict_free_exact() {
             best = Some((rows, cost));
-            if tie_break == TieBreak::FirstFound {
-                break;
-            }
         }
     }
     let certification =
@@ -176,31 +178,25 @@ fn reference_space_search(
     (certification, examined, best)
 }
 
-/// Run `SpaceSearch` and the reference on one problem and compare them.
+/// Compare the fixed-schedule frontier's space corner with the
+/// reference on one problem, and the frontier with and without the
+/// quotient.
 fn assert_matches_reference(alg: &Uda, pi: &LinearSchedule, rows: usize, ctx: &str) {
     let bound = if rows == 1 { 2 } else { 1 };
-    for tb in [TieBreak::FirstFound, TieBreak::LexMax] {
-        let out = SpaceSearch::new(alg, pi)
-            .rows(rows)
-            .entry_bound(bound)
-            .tie_break(tb)
-            .solve()
-            .unwrap();
-        let design = out.mapping.as_ref().map(|m| {
-            let rows = (0..m.space.array_dims())
-                .map(|r| m.space.as_mat().row(r).to_i64s().unwrap())
-                .collect();
-            (rows, m.cost)
-        });
-        let got = (out.certification, out.candidates_examined, design);
-        let want = reference_space_search(alg, pi, rows, bound, tb);
-        assert_eq!(got, want, "{ctx}: {rows}-row {tb:?}");
-    }
+    let full = fixed_schedule_frontier(alg, pi, rows, bound, SymmetryMode::Full);
+    let corner = full.space_corner();
+    let certification =
+        if corner.is_some() { Certification::Optimal } else { Certification::Infeasible };
+    let design = corner.map(|p| (p.space_rows(), p.space_cost()));
+    let got = (certification, full.candidates_examined, design);
+    let want = reference_space_search(alg, pi, rows, bound);
+    assert_eq!(got, want, "{ctx}: {rows}-row");
+    let quot = fixed_schedule_frontier(alg, pi, rows, bound, SymmetryMode::Quotient);
+    assert_eq!(designs(&quot), designs(&full), "{ctx}: {rows}-row full vs quotient");
 }
 
 /// The table route against the Hermite-route reference on every
-/// catalogue problem, 1- and 2-row, both tie-breaks, plus an invalid
-/// schedule.
+/// catalogue problem, 1- and 2-row, plus an invalid schedule.
 #[test]
 fn space_search_matches_hnf_reference_on_catalogue() {
     let mut cases = space_catalogue();
@@ -212,19 +208,15 @@ fn space_search_matches_hnf_reference_on_catalogue() {
     }
 }
 
-/// Tentpole acceptance (quotient): quotiented enumeration under the
-/// LexMax pin matches full enumeration on the design.
+/// Quotiented enumeration leaves the fixed-schedule frontier — every
+/// point, hence the space corner — as full enumeration finds it, at the
+/// default entry bound.
 #[test]
 fn space_search_quotient_matches_full_enumeration_on_catalogue() {
     for (alg, pi, name) in space_catalogue() {
-        let full =
-            SpaceSearch::new(&alg, &pi).tie_break(TieBreak::LexMax).solve().unwrap();
-        let quot = SpaceSearch::new(&alg, &pi)
-            .tie_break(TieBreak::LexMax)
-            .symmetry(SymmetryMode::Quotient)
-            .solve()
-            .unwrap();
-        assert_space_eq(&full, &quot, &format!("{name} full vs quotient"));
+        let full = fixed_schedule_frontier(&alg, &pi, 1, 2, SymmetryMode::Full);
+        let quot = fixed_schedule_frontier(&alg, &pi, 1, 2, SymmetryMode::Quotient);
+        assert_eq!(designs(&quot), designs(&full), "{name} full vs quotient");
     }
 }
 
@@ -303,8 +295,8 @@ fn joint_corners_match_procedure51_reference_on_catalogue() {
 fn table_route_accounts_for_every_exact_dispatch() {
     for (alg, pi, name) in space_catalogue() {
         for (rows, bound) in [(1, 2), (2, 1)] {
-            let out = SpaceSearch::new(&alg, &pi).rows(rows).entry_bound(bound).solve().unwrap();
-            let t = &out.telemetry;
+            let f = fixed_schedule_frontier(&alg, &pi, rows, bound, SymmetryMode::Full);
+            let t = &f.telemetry;
             assert_eq!(t.hnf_computations, 0, "{name} {rows}-row: {t:?}");
             assert_eq!(t.condition_hits.exact, t.enumerated - t.rejected_rank, "{name}: {t:?}");
             assert_eq!(t.condition_hits.total(), t.condition_hits.exact, "{name}: {t:?}");
@@ -317,10 +309,10 @@ cfmap_testkit::props! {
 
     /// Randomized differential, mirroring `quotient_props`: on generated
     /// 3-D problems (identity deps plus two extra columns — mostly
-    /// trivial stabilizers, some symmetric), `SpaceSearch` matches the
-    /// Hermite-route reference and its quotient agrees with full
-    /// enumeration, and the joint frontier's corners match the
-    /// Procedure 5.1 reference.
+    /// trivial stabilizers, some symmetric), the fixed-schedule
+    /// frontier's space corner matches the Hermite-route reference and
+    /// its quotient agrees with full enumeration, and the joint
+    /// frontier's corners match the Procedure 5.1 reference.
     fn fast_routes_match_on_generated_problems(
         mu in gen::vec(2i64..=3, 3),
         extra in gen::vec(-2i64..=2, 6),
@@ -339,13 +331,6 @@ cfmap_testkit::props! {
         for rows in [1, 2] {
             assert_matches_reference(&alg, &pi, rows, "generated");
         }
-        let full = SpaceSearch::new(&alg, &pi).tie_break(TieBreak::LexMax).solve().unwrap();
-        let quot = SpaceSearch::new(&alg, &pi)
-            .tie_break(TieBreak::LexMax)
-            .symmetry(SymmetryMode::Quotient)
-            .solve()
-            .unwrap();
-        assert_space_eq(&full, &quot, "generated quotient");
 
         for bound in [1, 2] {
             assert_corners_match_reference(&alg, bound, 12, "generated");

@@ -1593,6 +1593,34 @@ mod tests {
         assert!(text.contains("cfmap_pareto_verify_duration_seconds_count"), "{text}");
     }
 
+    /// `/pareto` `processors` is the bounding-box site count of the
+    /// frontier's cost model, `/map` `processors` the image `|S·J|`: they
+    /// differ when the image has gaps. `S = [2, 3]` on a 4 × 4 box spans
+    /// 16 sites, of which 14 are reached.
+    #[test]
+    fn pareto_counts_bounding_box_sites_where_map_counts_the_image() {
+        let engine = Engine::new(64, 4);
+        let (mu, deps, space) = (vec![3, 3], vec![vec![0, 1]], vec![vec![2, 3]]);
+        let map = MapRequest {
+            algorithm: None,
+            mu: mu.clone(),
+            deps: Some(deps.clone()),
+            ..MapRequest::named("matmul", 4, space.clone())
+        };
+        let MapResponse::Ok(m) = engine.resolve(&map) else { panic!("map ok") };
+        assert_eq!(m.processors, 14);
+        let pareto = ParetoRequest {
+            algorithm: None,
+            mu,
+            deps: Some(deps),
+            space: Some(space),
+            ..ParetoRequest::named("matmul", 4)
+        };
+        let ParetoResponse::Ok(p) = engine.pareto(&pareto) else { panic!("pareto ok") };
+        assert_eq!(p.points.len(), 1);
+        assert_eq!(p.points[0].processors, 16);
+    }
+
     #[test]
     fn pareto_permuted_fixed_space_hits_the_canonical_entry() {
         let engine = Engine::new(64, 4);

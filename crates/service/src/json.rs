@@ -11,7 +11,9 @@
 //!
 //! Objects preserve insertion order (they are association lists, not hash
 //! maps), so `parse(serialize(x)) == x` holds structurally, which the
-//! testkit property tests in `tests/wire_props.rs` exercise.
+//! testkit property tests in `tests/wire_props.rs` exercise. An object
+//! that repeats a key is refused: a reader that kept the first value
+//! and one that kept the last would serve different problems.
 
 use std::fmt;
 
@@ -33,7 +35,7 @@ pub enum Json {
 }
 
 impl Json {
-    /// Object field lookup (first match).
+    /// Object field lookup (parsed objects hold each key at most once).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
@@ -172,7 +174,7 @@ const MAX_DEPTH: usize = 64;
 /// garbage rejected).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let bytes = input.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { bytes, pos: 0, keys: Vec::new() };
     p.skip_ws();
     let value = p.value(0)?;
     p.skip_ws();
@@ -185,6 +187,9 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// `(field index, byte offset)` of every key of the objects being
+    /// parsed, innermost object last — one buffer for the whole parse.
+    keys: Vec<(usize, usize)>,
 }
 
 impl Parser<'_> {
@@ -268,8 +273,10 @@ impl Parser<'_> {
             self.pos += 1;
             return Ok(Json::Obj(fields));
         }
+        let first_key = self.keys.len();
         loop {
             self.skip_ws();
+            self.keys.push((fields.len(), self.pos));
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
@@ -281,10 +288,39 @@ impl Parser<'_> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
+                    self.refuse_repeated_keys(&fields, first_key)?;
                     return Ok(Json::Obj(fields));
                 }
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
+        }
+    }
+
+    /// Fail if the object just parsed into `fields` holds a key twice;
+    /// its keys are the entries of `self.keys` from `first_key` on, which
+    /// are popped. Sorting the keys and comparing neighbours takes
+    /// `O(k log k)` for `k` keys, where a pairwise scan would be quadratic
+    /// in a large hostile body. The error points at the earliest second
+    /// occurrence in the input and names its key.
+    fn refuse_repeated_keys(
+        &mut self,
+        fields: &[(String, Json)],
+        first_key: usize,
+    ) -> Result<(), JsonError> {
+        let keys = &mut self.keys[first_key..];
+        keys.sort_unstable_by(|a, b| fields[a.0].0.cmp(&fields[b.0].0).then(a.0.cmp(&b.0)));
+        let repeat = keys
+            .windows(2)
+            .filter(|pair| fields[pair[0].0].0 == fields[pair[1].0].0)
+            .map(|pair| pair[1])
+            .min();
+        self.keys.truncate(first_key);
+        match repeat {
+            Some((field, offset)) => Err(JsonError {
+                offset,
+                msg: format!("repeated object key {:?}", fields[field].0),
+            }),
+            None => Ok(()),
         }
     }
 
@@ -478,6 +514,55 @@ mod tests {
         assert!(err.msg.contains("nesting"), "{err}");
         let ok = "[".repeat(50) + &"]".repeat(50);
         assert!(parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn repeated_keys_are_refused_at_every_depth() {
+        let body = r#"{"algorithm":"matmul","mu":[4],"space":[[1,1,-1]],"mu":[9]}"#;
+        let err = parse(body).unwrap_err();
+        assert_eq!(err.offset, body.rfind("\"mu\"").unwrap(), "{err}");
+        assert!(err.msg.contains("\"mu\""), "{err}");
+        // Nested objects are checked on their own; the earliest repeat
+        // in the input is the one reported.
+        let nested = r#"{"a":{"x":1,"y":{"z":1,"z":2},"x":3},"b":{"b":1}}"#;
+        let err = parse(nested).unwrap_err();
+        assert_eq!(err.offset, nested.find("\"z\":2").unwrap(), "{err}");
+        assert!(err.msg.contains("\"z\""), "{err}");
+        let siblings = r#"[{"k":1},{"k":1,"j":2,"k":3}]"#;
+        let err = parse(siblings).unwrap_err();
+        assert_eq!(err.offset, siblings.rfind("\"k\"").unwrap(), "{err}");
+        // The same key in sibling or nested objects is no repeat.
+        let ok = parse(r#"{"a":{"a":{"a":1}},"b":[{"a":1},{"a":2}]}"#).unwrap();
+        assert_eq!(ok.get("b").unwrap().as_arr().unwrap().len(), 2);
+        assert!(parse(r#"{"":1,"":2}"#).is_err());
+    }
+
+    #[test]
+    fn a_mebibyte_of_distinct_keys_parses_in_linearithmic_time() {
+        // 71k keys in 1 MiB: a pairwise duplicate scan would make
+        // ~2.5·10⁹ comparisons; sorting makes ~1.2·10⁶.
+        let mut body = String::from("{");
+        let mut n = 0;
+        while body.len() < (1 << 20) - 16 {
+            if n > 0 {
+                body.push(',');
+            }
+            body.push_str(&format!("\"k{n}\":{n}"));
+            n += 1;
+        }
+        body.push('}');
+        let started = std::time::Instant::now();
+        let v = parse(&body).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(v.get("k0").and_then(Json::as_i64), Some(0));
+        match v {
+            Json::Obj(fields) => assert_eq!(fields.len(), n),
+            other => panic!("expected an object, got {other:?}"),
+        }
+        assert!(elapsed < std::time::Duration::from_secs(5), "{n} keys took {elapsed:?}");
+        let mut repeated = body.clone();
+        repeated.insert_str(repeated.len() - 1, ",\"k7\":0");
+        assert!(parse(&repeated).unwrap_err().msg.contains("\"k7\""));
     }
 
     #[test]

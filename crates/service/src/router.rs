@@ -420,6 +420,9 @@ enum AffinityError {
     /// `/batch` body with an empty or wholly non-canonicalizable
     /// `requests` array.
     Batch(String),
+    /// `/batch` body that is not JSON (malformed, or an object repeats
+    /// a key).
+    BatchJson(String),
     /// `/pareto` body every backend would reject with a 400.
     Pareto(String),
 }
@@ -442,9 +445,9 @@ impl RouterCore {
     /// equivalent problems still lands with its cache entry). A `/batch`
     /// whose `requests` array is empty or wholly non-canonicalizable is
     /// rejected locally — every backend would 400 it, so forwarding only
-    /// burns an upstream round-trip. A body without a parseable
-    /// `requests` array routes by raw-content hash — the backend
-    /// produces the authoritative 400.
+    /// burns an upstream round-trip — and so is a body that is not JSON.
+    /// A JSON body without a `requests` array routes by raw-content hash
+    /// — the backend produces the authoritative 400.
     fn affinity_hash(&self, path: &str, body: &str) -> Result<u64, AffinityError> {
         if path == "/map" {
             let req = MapRequest::from_str(body).map_err(|e| AffinityError::Map(e.msg))?;
@@ -463,25 +466,22 @@ impl RouterCore {
             };
         }
         // /batch: first member that parses and canonicalizes wins.
-        if let Ok(json) = parse(body) {
-            if let Some(arr) = json.get("requests").and_then(Json::as_arr) {
-                if arr.is_empty() {
-                    return Err(AffinityError::Batch(
-                        "batch \"requests\" array is empty".into(),
-                    ));
-                }
-                for item in arr {
-                    if let Ok(req) = MapRequest::from_json(item) {
-                        if let Ok(problem) = canonical_problem(&req) {
-                            return Ok(fnv1a64(canonical_key(&problem).as_bytes()));
-                        }
+        let json = parse(body).map_err(|e| AffinityError::BatchJson(e.to_string()))?;
+        if let Some(arr) = json.get("requests").and_then(Json::as_arr) {
+            if arr.is_empty() {
+                return Err(AffinityError::Batch("batch \"requests\" array is empty".into()));
+            }
+            for item in arr {
+                if let Ok(req) = MapRequest::from_json(item) {
+                    if let Ok(problem) = canonical_problem(&req) {
+                        return Ok(fnv1a64(canonical_key(&problem).as_bytes()));
                     }
                 }
-                return Err(AffinityError::Batch(format!(
-                    "none of the {} batch members parses into a canonicalizable request",
-                    arr.len()
-                )));
             }
+            return Err(AffinityError::Batch(format!(
+                "none of the {} batch members parses into a canonicalizable request",
+                arr.len()
+            )));
         }
         Ok(fnv1a64(body.as_bytes()))
     }
@@ -556,6 +556,10 @@ impl RouterCore {
             Err(AffinityError::Pareto(msg)) => {
                 let resp = crate::wire::ParetoResponse::BadRequest { msg };
                 return (resp.http_status(), resp.to_json().serialize(), Vec::new());
+            }
+            Err(AffinityError::BatchJson(msg)) => {
+                // The backend's own 400 for a `/batch` body it cannot parse.
+                return (400, error_body(&msg), Vec::new());
             }
             Err(AffinityError::Batch(message)) => {
                 // A provably unusable batch gets a router-level 400:

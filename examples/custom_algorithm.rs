@@ -59,17 +59,18 @@ fn main() {
 
     // 4. Compare against the space-optimal alternative (Problem 6.1):
     //    keep the found schedule, search for the cheapest space map.
-    let sol = SpaceSearch::new(&alg, design.mapping.schedule())
+    let frontier = ParetoSearch::new(&alg)
+        .fixed_schedule(design.mapping.schedule())
         .entry_bound(1)
         .solve()
-        .expect("search ran to completion")
-        .expect_optimal("space-optimal design exists");
+        .expect("search ran to completion");
+    let sol = frontier.space_corner().expect("space-optimal design exists");
     println!(
         "\nProblem 6.1 (space-optimal for the same schedule): S = {}  →  {} PEs + {} wire units (cost {})",
         sol.space,
         sol.processors,
-        sol.wire_length,
-        sol.cost
+        sol.wires,
+        sol.space_cost()
     );
 
     // 5. Execute structurally and report the critical path.

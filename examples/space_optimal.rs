@@ -1,6 +1,7 @@
 //! Problem 6.1 — the paper's stated future work, implemented: given a
 //! linear schedule, find the space map minimizing processors + wire
-//! length, subject to conflict-freedom.
+//! length, subject to conflict-freedom. The answer is the space corner
+//! of the fixed-schedule Pareto frontier.
 //!
 //! ```sh
 //! cargo run --release --example space_optimal
@@ -22,10 +23,11 @@ fn main() {
     let paper_pes = SystolicArray::synthesize(&alg, &paper_design).num_processors();
     println!("  paper's S = [1, 1, −1]: {paper_pes} PEs");
 
-    let sol = SpaceSearch::new(&alg, &pi).entry_bound(2).solve().expect("search ran to completion").expect_optimal("solvable");
+    let frontier = ParetoSearch::new(&alg).fixed_schedule(&pi).solve().expect("search ran to completion");
+    let sol = frontier.space_corner().expect("solvable");
     println!(
         "  space-optimal:  S = {} → {} PEs + {} wire units (cost {}), {} candidates examined",
-        sol.space, sol.processors, sol.wire_length, sol.cost, sol.candidates_examined
+        sol.space, sol.processors, sol.wires, sol.space_cost(), frontier.candidates_examined
     );
     assert!(oracle::is_conflict_free_by_enumeration(&sol.mapping, &alg.index_set));
     let report = Simulator::new(&alg, &sol.mapping).run().unwrap();
@@ -39,10 +41,11 @@ fn main() {
     let alg = algorithms::transitive_closure(mu);
     let pi = LinearSchedule::new(&[mu + 1, 1, 1]);
     println!("\ntransitive-closure(μ = {mu}) with fixed {pi}:");
-    let sol = SpaceSearch::new(&alg, &pi).entry_bound(2).solve().expect("search ran to completion").expect_optimal("solvable");
+    let frontier = ParetoSearch::new(&alg).fixed_schedule(&pi).solve().expect("search ran to completion");
+    let sol = frontier.space_corner().expect("solvable");
     println!(
         "  space-optimal: S = {} → {} PEs + {} wire units (cost {})",
-        sol.space, sol.processors, sol.wire_length, sol.cost
+        sol.space, sol.processors, sol.wires, sol.space_cost()
     );
     println!("  (the paper's S = [0, 0, 1] costs 5 PEs + 3 wires = 8)");
 
@@ -57,8 +60,9 @@ fn main() {
             continue;
         }
         let t = pi.total_time(&alg.index_set);
-        match SpaceSearch::new(&alg, &pi).entry_bound(1).solve().unwrap().into_mapping() {
-            Some(sol) => println!("{:>14} {:>8} {:>10}", format!("{pi_entries:?}"), t, sol.cost),
+        let frontier = ParetoSearch::new(&alg).fixed_schedule(&pi).entry_bound(1).solve().unwrap();
+        match frontier.space_corner() {
+            Some(sol) => println!("{:>14} {:>8} {:>10}", format!("{pi_entries:?}"), t, sol.space_cost()),
             None => println!("{:>14} {:>8} {:>10}", format!("{pi_entries:?}"), t, "—"),
         }
     }

@@ -59,6 +59,9 @@ CFMAP=target/release/cfmap
 "$CFMAP" map --alg matmul --mu 4 --space 1,1,-1 > /dev/null
 "$CFMAP" pareto --alg matmul --mu 4 --space 1,1,-1 > /dev/null
 "$CFMAP" joint --alg matmul --mu 3 > /dev/null
+SPACE_OPT=$("$CFMAP" space-opt --alg matmul --mu 4 --pi 1,4,1)
+printf '%s\n' "$SPACE_OPT" | grep -q "combined cost : 11" \
+    || { echo "space-opt did not print the cost-11 design: $SPACE_OPT"; exit 1; }
 set +e
 "$CFMAP" map --alg matmul --mu 4 --space 1,1,-1 --cap 2 > /dev/null 2>&1
 [ $? -eq 1 ] || { echo "expected exit 1 for infeasible"; exit 1; }
@@ -66,6 +69,10 @@ set +e
 [ $? -eq 2 ] || { echo "expected exit 2 for usage error"; exit 1; }
 "$CFMAP" joint --alg matmul --mu 3 --max-candidates 1 > /dev/null 2>&1
 [ $? -eq 3 ] || { echo "expected exit 3 for an exhausted joint budget"; exit 1; }
+"$CFMAP" space-opt --alg matmul --mu 4 --pi 1,4,1 --max-candidates 1 > /dev/null 2>&1
+[ $? -eq 3 ] || { echo "expected exit 3 for an exhausted space-opt budget"; exit 1; }
+"$CFMAP" space-opt --alg matmul --mu 4 --pi 1,4,1 --entry-bound 0 > /dev/null 2>&1
+[ $? -eq 1 ] || { echo "expected exit 1 for an empty space-opt pool"; exit 1; }
 set -e
 
 echo "== smoke: cfmapd round trip (ephemeral port, stdin-EOF shutdown)"

@@ -69,7 +69,6 @@ pub mod prelude {
         InterconnectionPrimitives, MappingDiagnosis, MappingMatrix, OptimalMapping,
         ParetoFrontier, ParetoPoint, ParetoSearch, Procedure51,
         ResourceModel, SearchBudget, SearchOutcome, SpaceMap, TieBreak,
-        SpaceOptimalMapping, SpaceSearch,
     };
     pub use cfmap_systolic::rtl::{execute_rtl, RtlResult};
     pub use cfmap_model::bitexpand::{expand_to_bit_level, extend_space_rows};

@@ -70,6 +70,36 @@ fn space_opt_matches_library() {
     let (ok, stdout, _) = cfmap(&["space-opt", "--alg", "matmul", "--mu", "4", "--pi", "1,4,1"]);
     assert!(ok);
     assert!(stdout.contains("combined cost : 11"), "{stdout}");
+    // The lex-greatest of the two cost-11 maps, [0, 1, −1] and [1, −1, 0].
+    assert!(stdout.contains("space map     : [1 -1 0]"), "{stdout}");
+    assert!(stdout.contains("certified     : optimal"), "{stdout}");
+}
+
+#[test]
+fn space_opt_honours_its_entry_bound() {
+    let args = ["space-opt", "--alg", "matmul", "--mu", "4", "--pi", "1,4,1", "--entry-bound"];
+    let run = |bound: &str| cfmap_code(&[&args[..], &[bound]].concat());
+    let (code, stdout, stderr) = run("0");
+    assert_eq!(code, 1, "an empty pool is infeasible: {stdout}{stderr}");
+    let (code, stdout, _) = run("1");
+    assert_eq!(code, 0);
+    assert!(stdout.contains("combined cost : 11"), "{stdout}");
+}
+
+/// The pool is screened in cost order: [0,0,1], [0,1,0], [1,0,0] at
+/// cost 6 (all rejected), then [0,0,2] (rejected) and [0,1,−1] at cost
+/// 11. Five candidates reach an optimal-cost design; four find none.
+#[test]
+fn space_opt_cuts_its_pool_in_cost_order() {
+    let args = ["space-opt", "--alg", "matmul", "--mu", "4", "--pi", "1,4,1", "--max-candidates"];
+    let run = |budget: &str| cfmap_code(&[&args[..], &[budget]].concat());
+    let (code, stdout, _) = run("5");
+    assert_eq!(code, 0);
+    assert!(stdout.contains("space map     : [0 1 -1]"), "{stdout}");
+    assert!(stdout.contains("combined cost : 11"), "{stdout}");
+    assert!(stdout.contains("certified     : optimal"), "{stdout}");
+    let (code, _, stderr) = run("4");
+    assert_eq!(code, 3, "an exhausted budget is a structured failure: {stderr}");
 }
 
 #[test]

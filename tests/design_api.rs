@@ -1,5 +1,5 @@
 //! The one-call design API (`ArrayDesign`) and the Problem 6.1 space
-//! search, end to end.
+//! search (the fixed-schedule frontier's space corner), end to end.
 
 use cfmap::prelude::*;
 
@@ -46,11 +46,8 @@ fn space_search_composes_with_design() {
     // Problem 6.1 output feeds straight back into design synthesis.
     let alg = algorithms::matmul(4);
     let pi = LinearSchedule::new(&[1, 4, 1]);
-    let sol = SpaceSearch::new(&alg, &pi)
-        .entry_bound(2)
-        .solve()
-        .unwrap()
-        .expect_optimal("space map exists");
+    let frontier = ParetoSearch::new(&alg).fixed_schedule(&pi).solve().unwrap();
+    let sol = frontier.space_corner().expect("space map exists");
     let design = ArrayDesign::synthesize(&alg, sol.space.clone())
         .with_schedule(pi)
         .build()

@@ -578,6 +578,38 @@ fn over_span_maps_get_the_backend_400_without_a_forward() {
     backend.stop();
 }
 
+/// A body whose object repeats a key is one every backend refuses, on
+/// every route, so the router answers the backend's own 400 itself,
+/// without a forward.
+#[test]
+fn repeated_keys_get_the_backend_400_without_a_forward() {
+    let backend = BackendProc::spawn();
+    let router = start_router(std::slice::from_ref(&backend.addr));
+    assert!(
+        wait_until(Duration::from_secs(5), || {
+            client::get(&router.addr, "/readyz").map(|r| r.status == 200).unwrap_or(false)
+        }),
+        "router never became ready"
+    );
+    let map = r#"{"algorithm":"matmul","mu":[4],"space":[[1,1,-1]],"mu":[9]}"#;
+    let pareto = r#"{"algorithm":"matmul","mu":[3],"entry_bound":1,"entry_bound":2}"#;
+    let batch = format!(r#"{{"requests":[{map}]}}"#);
+    for (path, body) in [("/map", map), ("/pareto", pareto), ("/batch", batch.as_str())] {
+        let direct = client::post(&backend.addr, path, body).expect("backend answers");
+        assert_eq!(direct.status, 400, "{path}: {}", direct.body);
+        assert!(direct.body.contains("repeated object key"), "{path}: {}", direct.body);
+        let routed = client::post(&router.addr, path, body).expect("router answers");
+        assert_eq!((routed.status, &routed.body), (direct.status, &direct.body), "{path}");
+    }
+    assert_eq!(
+        router_metric(&router.addr, "cfmapd_router_requests_total", Some(&backend.addr)),
+        None,
+        "the router must answer without forwarding"
+    );
+    stop_router(router);
+    backend.stop();
+}
+
 /// Sequential keep-alive exchanges must not stall. On one `Client`, the
 /// median round trip straight to a backend and through the router stays
 /// below Linux's 40 ms delayed-ACK floor; a message written as head then
