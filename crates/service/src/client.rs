@@ -25,7 +25,7 @@
 
 use crate::http::{self, KeepAliveConn};
 use crate::wire::{MapRequest, MapResponse, WireError};
-use std::io::Read;
+use std::io::{BufReader, Read};
 use std::str::FromStr;
 use std::time::Duration;
 
@@ -180,43 +180,27 @@ impl Client {
         }
     }
 
-    /// One attempt, preferring the warm connection. A failure on a
-    /// *reused* socket is expected wear (the server retires connections
-    /// after a request bound and a short idle window), so it falls back
-    /// to one fresh connection before reporting anything; only the
-    /// fresh connection's failure escapes as an error.
+    /// One attempt, preferring the warm connection (see
+    /// [`http::exchange_pooled`]): a stale warm socket falls back to one
+    /// fresh connection, and only the fresh connection's failure
+    /// escapes as an error.
     fn send_once(
         &mut self,
         method: &str,
         path: &str,
         body: Option<&str>,
     ) -> Result<HttpReply, ClientError> {
-        loop {
-            let (mut conn, reused) = match self.conn.take() {
-                Some(conn) => (conn, true),
-                None => {
-                    let c = &self.config;
-                    let conn = KeepAliveConn::open(
-                        &self.addr,
-                        c.connect_timeout,
-                        c.read_timeout,
-                        c.write_timeout,
-                    )?;
-                    (conn, false)
-                }
-            };
-            match conn.exchange(method, path, body) {
-                Ok(resp) => {
-                    if conn.reusable(&resp, self.config.max_requests_per_conn) {
-                        self.conn = Some(conn);
-                    }
-                    return Ok(resp.into());
-                }
-                // Stale: drop it and go fresh.
-                Err(_) if reused => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
+        let c = &self.config;
+        let (resp, conn) = http::exchange_pooled(
+            || self.conn.take(),
+            || KeepAliveConn::open(&self.addr, c.connect_timeout, c.read_timeout, c.write_timeout),
+            c.max_requests_per_conn,
+            method,
+            path,
+            body,
+        )?;
+        self.conn = conn;
+        Ok(resp.into())
     }
 
     /// POST a path with a JSON body.
@@ -258,10 +242,10 @@ impl Client {
     }
 }
 
-/// One request/response exchange with explicit timeouts, no retries.
-/// The reply is framed by EOF, not by [`http::read_response`], so a body
-/// above [`http::MAX_BODY_BYTES`] (a large `/cache/save` snapshot)
-/// still downloads.
+/// One `Connection: close` exchange with explicit timeouts, no
+/// retries. The reply's body has no size bound, so a body above
+/// [`http::MAX_BODY_BYTES`] (a large `/cache/save` snapshot) still
+/// downloads.
 fn request_once(
     addr: &str,
     config: &ClientConfig,
@@ -272,34 +256,12 @@ fn request_once(
     let mut stream =
         http::connect(addr, config.connect_timeout, config.read_timeout, config.write_timeout)?;
     http::write_request(&mut stream, method, path, addr, body, false, &[])?;
-
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
-    let text = String::from_utf8(raw)
-        .map_err(|_| ClientError::Protocol("response is not UTF-8".into()))?;
-    let (head, body) = text
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| ClientError::Protocol("response has no header/body split".into()))?;
-    let status_line = head.lines().next().unwrap_or("");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| ClientError::Protocol(format!("bad status line {status_line:?}")))?;
-    let retry_after = head.lines().skip(1).find_map(|line| {
-        let (name, value) = line.split_once(':')?;
-        name.trim()
-            .eq_ignore_ascii_case("retry-after")
-            .then(|| value.trim().parse::<u64>().ok())
-            .flatten()
-    });
-    let backend = head.lines().skip(1).find_map(|line| {
-        let (name, value) = line.split_once(':')?;
-        name.trim()
-            .eq_ignore_ascii_case("x-cfmapd-backend")
-            .then(|| value.trim().to_string())
-    });
-    Ok(HttpReply { status, body: body.to_string(), retry_after, backend })
+    let mut reader = BufReader::new(stream);
+    let reply = http::read_response_within(&mut reader, usize::MAX)?;
+    // Read on to the server's close, so the server ends the connection
+    // first and holds its TIME_WAIT, not this client's ephemeral port.
+    let _ = reader.read_to_end(&mut Vec::new());
+    Ok(reply.into())
 }
 
 /// Issue one request and read the full reply (`Connection: close`),
@@ -353,5 +315,24 @@ mod tests {
         // Retry-After floors the sleep even above the cap.
         let mut c = Client::new("127.0.0.1:1", config);
         assert!(c.backoff(0, Some(1)) >= Duration::from_secs(1));
+    }
+
+    /// A one-shot reply has no body bound, so its `Content-Length` must
+    /// not size an allocation: a peer that claims `u64::MAX` bytes and
+    /// sends three gets an error, not a capacity-overflow panic.
+    #[test]
+    fn a_claimed_content_length_is_not_trusted_for_allocation() {
+        use std::io::Write;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let _ = http::read_request(&mut BufReader::new(stream.try_clone().expect("clone")));
+            let head = "HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551615\r\n\r\n";
+            stream.write_all(format!("{head}abc").as_bytes()).expect("reply");
+        });
+        let reply = get(&addr, "/cache/save");
+        assert!(matches!(reply, Err(ClientError::Io(_))), "{reply:?}");
+        peer.join().expect("peer thread");
     }
 }

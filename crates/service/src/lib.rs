@@ -24,18 +24,23 @@
 //!   cache and family catalogue (`GET/POST /cache/save`, `--cache-load`),
 //!   gated by a canonical-key digest so a snapshot from an incompatible
 //!   build is refused precisely instead of served wrongly;
-//! * [`server`] — `TcpListener` accept loop + fixed worker pool, with
-//!   `/map`, `/batch`, `/stats`, `/family`, `/healthz`, `/cache/clear`,
-//!   `/cache/save`, and `/shutdown` routes;
+//! * [`server`] — the daemon's tier of the shared front end: the `/map`,
+//!   `/pareto`, `/batch`, `/stats`, `/metrics`, `/family`, `/healthz`,
+//!   `/readyz`, `/cache/clear`, `/cache/save` and `/shutdown` routes,
+//!   their metrics and access log, fault injection, the background
+//!   fitter and the drain watchdog;
 //! * [`client`] — the minimal blocking HTTP client used by
 //!   `cfmap client`, the smoke tests, and the throughput bench, with
 //!   keep-alive connection reuse;
 //! * [`http`] — the shared HTTP/1.1 transport (one parser, writer,
-//!   connector and keep-alive connection for the daemon, the router,
-//!   and the client);
-//! * [`router`] — `cfmapd-router`: cache-affine consistent-hash fan-out
-//!   over N backends with health probes, circuit breakers, and bounded
-//!   failover.
+//!   connector, keep-alive connection and pooled exchange for the
+//!   daemon, the router, and the client) and the one front end both
+//!   servers run: accept loop, bounded admission queue and `503` shed
+//!   path, worker pool, per-request panic guard and keep-alive
+//!   connection loop;
+//! * [`router`] — `cfmapd-router`'s tier of that front end:
+//!   cache-affine consistent-hash fan-out over N backends with health
+//!   probes, circuit breakers, and bounded failover.
 //!
 //! Start a daemon and ask it for the optimal matmul linear-array design:
 //!
@@ -83,3 +88,14 @@ pub use wire::{
     MapOutcome, MapRequest, MapResponse, ParetoOutcome, ParetoPointWire, ParetoRequest,
     ParetoResponse, RouterReject, RouterRejectKind, WireError,
 };
+
+/// Parse the value of a `cfmapd` or `cfmapd-router` count flag: a
+/// positive integer, or an error naming `flag`.
+pub fn parse_count(value: Option<&String>, flag: &str) -> Result<usize, String> {
+    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
+    let n: usize = v.parse().map_err(|_| format!("bad {flag} value {v:?}"))?;
+    if n == 0 {
+        return Err(format!("{flag} must be ≥ 1"));
+    }
+    Ok(n)
+}

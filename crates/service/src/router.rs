@@ -49,37 +49,20 @@
 //! | `POST /shutdown` | drain and exit |
 
 use crate::engine::{canonical_problem, pareto_affinity_problem};
-use crate::http::{self, read_request, write_response_extra, KeepAliveConn, ReadError, Response};
+use crate::http::{self, error_body, Answer, Front, KeepAliveConn, Request, Response};
+use crate::http::{ShutdownHandle, Tier, CT_METRICS};
 use crate::json::{parse, Json};
 use crate::wire::{MapRequest, ParetoRequest, RouterReject, RouterRejectKind};
-use crate::server::ShutdownHandle;
 use cfmap_core::metrics::{Counter, Gauge, Histogram, Registry, DEFAULT_LATENCY_BUCKETS_US};
 use cfmap_core::CanonicalProblem;
-use std::io::BufReader;
 use std::str::FromStr;
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// How long a router worker waits on a slow downstream client.
-const IO_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// Idle patience between requests on a kept-alive downstream connection
-/// (mirrors the daemon's own keep-alive idle clock).
-const KEEPALIVE_IDLE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Read and write patience of a `/healthz` probe.
 const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// Read and write patience of a shed connection's `503`.
-const SHED_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// `Content-Type` of JSON answers.
-const CT_JSON: &str = "application/json";
-
-/// `Content-Type` of `/metrics`.
-const CT_METRICS: &str = "text/plain; version=0.0.4";
 
 /// Router configuration (all fields have serviceable defaults except
 /// `backends`, which must be non-empty for the router to be useful).
@@ -434,8 +417,8 @@ struct RouterCore {
     ring: Ring,
     registry: Arc<Registry>,
     failovers: Arc<Counter>,
-    sheds: Arc<Counter>,
-    shutdown: Arc<AtomicBool>,
+    /// Its `shed` counts admission sheds and no-routable-backend rejects.
+    front: Front,
 }
 
 impl RouterCore {
@@ -487,11 +470,8 @@ impl RouterCore {
     }
 
     /// Send one request to one backend over a pooled (or fresh)
-    /// keep-alive connection. A transport error on a *reused*
-    /// connection moves on to the next pooled one, and finally to a
-    /// fresh one — a retired-by-the-peer pooled socket is not evidence
-    /// against the backend. Only a fresh connection's failure
-    /// propagates as `Err`.
+    /// keep-alive connection (see [`http::exchange_pooled`]): only a
+    /// fresh connection's failure propagates as `Err`.
     fn send(
         &self,
         backend: &Backend,
@@ -500,50 +480,37 @@ impl RouterCore {
         body: &str,
     ) -> std::io::Result<Response> {
         let started = Instant::now();
-        loop {
-            let (mut conn, reused) = match backend.checkout() {
-                Some(conn) => (conn, true),
-                None => {
-                    let c = &self.config;
-                    let conn = KeepAliveConn::open(
-                        &backend.addr,
-                        c.connect_timeout,
-                        c.read_timeout,
-                        IO_TIMEOUT,
-                    )?;
-                    (conn, false)
-                }
-            };
-            match conn.exchange(method, path, Some(body)) {
-                Ok(resp) => {
-                    if conn.reusable(&resp, self.config.max_requests_per_conn) {
-                        backend.park(conn, self.config.pool_capacity);
-                    }
-                    backend.upstream_latency.observe(started.elapsed());
-                    return Ok(resp);
-                }
-                Err(_) if reused => {}
-                Err(e) => return Err(e),
-            }
+        let c = &self.config;
+        let (connect, read, write) = (c.connect_timeout, c.read_timeout, http::IO_TIMEOUT);
+        let (resp, conn) = http::exchange_pooled(
+            || backend.checkout(),
+            || KeepAliveConn::open(&backend.addr, connect, read, write),
+            c.max_requests_per_conn,
+            method,
+            path,
+            Some(body),
+        )?;
+        if let Some(conn) = conn {
+            backend.park(conn, c.pool_capacity);
         }
+        backend.upstream_latency.observe(started.elapsed());
+        Ok(resp)
     }
 
     /// Route one mapping request: pick ring candidates, walk them under
     /// the breaker, fail over on transport errors, and produce the
     /// downstream answer. Always returns a well-formed response.
-    fn forward(&self, method: &str, path: &str, body: &str) -> (u16, String, Vec<(String, String)>) {
+    fn forward(&self, method: &str, path: &str, body: &str) -> Answer {
         if self.backends.is_empty() {
             let reject = RouterReject {
                 kind: RouterRejectKind::NoBackends,
                 message: "router has no configured backends".into(),
                 attempted: 0,
             };
-            self.sheds.inc();
-            return (
-                reject.kind.http_status(),
-                reject.to_json().serialize(),
-                vec![("Retry-After".into(), "1".into())],
-            );
+            self.front.shed.inc();
+            let mut answer = Answer::json(reject.kind.http_status(), reject.to_json().serialize());
+            answer.headers.push(("Retry-After", "1".into()));
+            return answer;
         }
         let hash = match self.affinity_hash(path, body) {
             Ok(h) => h,
@@ -551,15 +518,15 @@ impl RouterCore {
                 // The router rejects what every backend would reject,
                 // with the same body shape, without a round-trip.
                 let resp = crate::wire::MapResponse::BadRequest { msg };
-                return (resp.http_status(), resp.to_json().serialize(), Vec::new());
+                return Answer::json(resp.http_status(), resp.to_json().serialize());
             }
             Err(AffinityError::Pareto(msg)) => {
                 let resp = crate::wire::ParetoResponse::BadRequest { msg };
-                return (resp.http_status(), resp.to_json().serialize(), Vec::new());
+                return Answer::json(resp.http_status(), resp.to_json().serialize());
             }
             Err(AffinityError::BatchJson(msg)) => {
                 // The backend's own 400 for a `/batch` body it cannot parse.
-                return (400, error_body(&msg), Vec::new());
+                return Answer::json(400, error_body(&msg));
             }
             Err(AffinityError::Batch(message)) => {
                 // A provably unusable batch gets a router-level 400:
@@ -567,7 +534,7 @@ impl RouterCore {
                 // for, so the reject carries the router body shape.
                 let reject =
                     RouterReject { kind: RouterRejectKind::BadRequest, message, attempted: 0 };
-                return (reject.kind.http_status(), reject.to_json().serialize(), Vec::new());
+                return Answer::json(reject.kind.http_status(), reject.to_json().serialize());
             }
         };
         let candidates = self.ring.candidates(hash, self.config.failover_budget + 1);
@@ -605,36 +572,25 @@ impl RouterCore {
                     } else {
                         backend.record_success();
                     }
-                    self.registry
-                        .counter(
-                            "cfmapd_router_requests_total",
-                            "Requests forwarded, by backend and upstream status",
-                            &[("backend", &backend.addr), ("status", &resp.status.to_string())],
-                        )
-                        .inc();
-                    let mut headers = vec![("X-Cfmapd-Backend".to_string(), backend.addr.clone())];
+                    self.count_forward(backend, &resp.status.to_string());
+                    let mut answer = Answer::json(resp.status, resp.body);
+                    answer.headers.push(("X-Cfmapd-Backend", backend.addr.clone()));
                     if let Some(secs) = resp.retry_after {
-                        headers.push(("Retry-After".into(), secs.to_string()));
+                        answer.headers.push(("Retry-After", secs.to_string()));
                     }
-                    return (resp.status, resp.body, headers);
+                    return answer;
                 }
                 Err(_) => {
                     backend.drain_pool();
                     backend.record_failure(self.config.failure_threshold);
-                    self.registry
-                        .counter(
-                            "cfmapd_router_requests_total",
-                            "Requests forwarded, by backend and upstream status",
-                            &[("backend", &backend.addr), ("status", "transport_error")],
-                        )
-                        .inc();
+                    self.count_forward(backend, "transport_error");
                     // Loop on: the next distinct ring backend is the
                     // failover target.
                 }
             }
         }
         let reject = if attempted == 0 {
-            self.sheds.inc();
+            self.front.shed.inc();
             RouterReject {
                 kind: RouterRejectKind::AllCircuitsOpen,
                 message: format!(
@@ -659,11 +615,23 @@ impl RouterCore {
                 attempted,
             }
         };
-        let mut headers = Vec::new();
-        if reject.kind.http_status() == 503 {
-            headers.push(("Retry-After".to_string(), "1".to_string()));
+        let mut answer = Answer::json(reject.kind.http_status(), reject.to_json().serialize());
+        if answer.status == 503 {
+            answer.headers.push(("Retry-After", "1".into()));
         }
-        (reject.kind.http_status(), reject.to_json().serialize(), headers)
+        answer
+    }
+
+    /// Count one forward to `backend` by its upstream `status`.
+    fn count_forward(&self, backend: &Backend, status: &str) {
+        let labels = [("backend", backend.addr.as_str()), ("status", status)];
+        self.registry
+            .counter(
+                "cfmapd_router_requests_total",
+                "Requests forwarded, by backend and upstream status",
+                &labels,
+            )
+            .inc();
     }
 
     /// One probe pass over every backend. Updates `up`/`ready`, and
@@ -745,18 +713,21 @@ impl CfmapRouter {
         );
         let sheds = registry.counter(
             "cfmapd_router_shed_total",
-            "Requests the router answered 503 itself because no backend was routable",
+            "Requests the router answered 503 itself: admission sheds and no routable backend",
             &[],
         );
-        let core = Arc::new(RouterCore {
-            config: config.clone(),
-            backends,
-            ring,
-            registry,
-            failovers,
-            sheds,
+        let front = Front {
+            workers: config.workers,
+            queue_capacity: config.queue_capacity,
+            max_requests_per_conn: config.max_requests_per_conn.max(2),
             shutdown: Arc::new(AtomicBool::new(false)),
-        });
+            // Tracked for admission, but not exported: the router's
+            // `/metrics` carries no queue-depth series.
+            queue_depth: Arc::default(),
+            shed: sheds,
+        };
+        let config = config.clone();
+        let core = Arc::new(RouterCore { config, backends, ring, registry, failovers, front });
         Ok(CfmapRouter { listener, core })
     }
 
@@ -767,7 +738,7 @@ impl CfmapRouter {
 
     /// A handle that can stop [`CfmapRouter::run`] from another thread.
     pub fn shutdown_handle(&self) -> std::io::Result<ShutdownHandle> {
-        Ok(ShutdownHandle::new(Arc::clone(&self.core.shutdown), self.local_addr()?))
+        Ok(ShutdownHandle::new(Arc::clone(&self.core.front.shutdown), self.local_addr()?))
     }
 
     /// The router's metrics registry (tests scrape it in-process).
@@ -785,57 +756,12 @@ impl CfmapRouter {
         let prober = {
             let core = Arc::clone(&core);
             std::thread::spawn(move || {
-                let step = Duration::from_millis(25);
-                loop {
-                    let mut waited = Duration::ZERO;
-                    while waited < core.config.health_interval {
-                        if core.shutdown.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        let nap = step.min(core.config.health_interval - waited);
-                        std::thread::sleep(nap);
-                        waited += nap;
-                    }
-                    if core.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
+                while !http::wait_for(&core.front.shutdown, core.config.health_interval) {
                     core.probe_all();
                 }
             })
         };
-        let (tx, rx) = mpsc::sync_channel::<TcpStream>(core.config.queue_capacity.max(1));
-        let rx = Arc::new(Mutex::new(rx));
-        let mut pool = Vec::with_capacity(core.config.workers.max(1));
-        for _ in 0..core.config.workers.max(1) {
-            let rx = Arc::clone(&rx);
-            let core = Arc::clone(&core);
-            pool.push(std::thread::spawn(move || loop {
-                let conn = match rx.lock() {
-                    Ok(guard) => guard.recv(),
-                    Err(_) => break,
-                };
-                let Ok(stream) = conn else { break };
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    serve_downstream(stream, &core);
-                }));
-            }));
-        }
-        for conn in listener.incoming() {
-            if core.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = conn else { continue };
-            match tx.try_send(stream) {
-                Ok(()) => {}
-                Err(mpsc::TrySendError::Full(stream)) => {
-                    core.sheds.inc();
-                    shed_downstream(stream);
-                }
-                Err(mpsc::TrySendError::Disconnected(_)) => break,
-            }
-        }
-        drop(tx);
-        for worker in pool {
+        for worker in http::serve(&listener, Arc::clone(&core)) {
             let _ = worker.join();
         }
         let _ = prober.join();
@@ -843,87 +769,36 @@ impl CfmapRouter {
     }
 }
 
-/// Answer a shed downstream connection with `503` + `Retry-After` on a
-/// short-lived thread (mirrors the daemon's own shed path).
-fn shed_downstream(stream: TcpStream) {
-    std::thread::spawn(move || {
-        let mut stream = stream;
-        let _ = http::tune(&stream, SHED_TIMEOUT, SHED_TIMEOUT);
-        if let Ok(clone) = stream.try_clone() {
-            let mut reader = BufReader::new(clone);
-            let _ = read_request(&mut reader);
-        }
-        let body = RouterReject {
+impl Tier for RouterCore {
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    fn answer(&self, req: &Request, _anchor_us: u64) -> Answer {
+        dispatch(self, &req.method, &req.path, &req.body)
+    }
+
+    fn shed_body(&self) -> String {
+        RouterReject {
             kind: RouterRejectKind::AllCircuitsOpen,
             message: "router admission queue full; retry after the Retry-After delay".into(),
             attempted: 0,
         }
         .to_json()
-        .serialize();
-        let _ =
-            write_response_extra(&mut stream, 503, CT_JSON, &body, &[("Retry-After", "1")], false);
-    });
-}
-
-/// Serve one downstream connection, honoring client keep-alive.
-fn serve_downstream(stream: TcpStream, core: &RouterCore) {
-    let _ = http::tune(&stream, IO_TIMEOUT, IO_TIMEOUT);
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut stream = stream;
-    let mut served = 0usize;
-    loop {
-        let (status, content_type, body, headers, client_keep_alive) =
-            match read_request(&mut reader) {
-                Err(ReadError::Empty) => return,
-                Err(ReadError::TooLarge) => {
-                    (413, CT_JSON, error_body("request body too large"), Vec::new(), false)
-                }
-                Err(ReadError::Malformed(msg)) => (400, CT_JSON, error_body(&msg), Vec::new(), false),
-                Ok(req) => {
-                    let keep = req.keep_alive;
-                    let (status, ct, body, headers) = dispatch(core, &req.method, &req.path, &req.body);
-                    (status, ct, body, headers, keep)
-                }
-            };
-        served += 1;
-        let keep = client_keep_alive
-            && served < core.config.max_requests_per_conn.max(2)
-            && !core.shutdown.load(Ordering::SeqCst);
-        let header_refs: Vec<(&str, &str)> =
-            headers.iter().map(|(k, v)| (k.as_str(), v.as_str())).collect();
-        let write_ok =
-            write_response_extra(&mut stream, status, content_type, &body, &header_refs, keep)
-                .is_ok();
-        if core.shutdown.load(Ordering::SeqCst) {
-            // Unblock the accept loop so it observes the flag.
-            if let Ok(addr) = stream.local_addr() {
-                let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
-            }
-            return;
-        }
-        if !keep || !write_ok {
-            return;
-        }
-        let _ = stream.set_read_timeout(Some(KEEPALIVE_IDLE_TIMEOUT));
+        .serialize()
     }
 }
 
 /// Route one parsed downstream request.
-fn dispatch(
-    core: &RouterCore,
-    method: &str,
-    path: &str,
-    body: &str,
-) -> (u16, &'static str, String, Vec<(String, String)>) {
+fn dispatch(core: &RouterCore, method: &str, path: &str, body: &str) -> Answer {
     match (method, path) {
         ("POST", "/map") | ("POST", "/pareto") | ("POST", "/batch") => {
-            let (status, body, headers) = core.forward(method, path, body);
-            (status, CT_JSON, body, headers)
+            core.forward(method, path, body)
         }
-        ("GET", "/metrics") => (200, CT_METRICS, core.registry.render_prometheus(), Vec::new()),
+        ("GET", "/metrics") => Answer {
+            content_type: CT_METRICS,
+            ..Answer::json(200, core.registry.render_prometheus())
+        },
         ("GET", "/healthz") => {
             let up = core.backends.iter().filter(|b| b.up.load(Ordering::SeqCst)).count();
             let json = Json::Obj(vec![
@@ -931,15 +806,17 @@ fn dispatch(
                 ("backends".into(), Json::Int(core.backends.len() as i64)),
                 ("backends_up".into(), Json::Int(up as i64)),
             ]);
-            (200, CT_JSON, json.serialize(), Vec::new())
+            Answer::json(200, json.serialize())
         }
         ("GET", "/readyz") => {
             if core.any_routable() {
                 let json = Json::Obj(vec![("status".into(), Json::Str("ok".into()))]);
-                (200, CT_JSON, json.serialize(), Vec::new())
+                Answer::json(200, json.serialize())
             } else {
                 let json = Json::Obj(vec![("status".into(), Json::Str("no_backends".into()))]);
-                (503, CT_JSON, json.serialize(), vec![("Retry-After".into(), "1".into())])
+                let mut answer = Answer::json(503, json.serialize());
+                answer.headers.push(("Retry-After", "1".into()));
+                answer
             }
         }
         ("GET", "/backends") => {
@@ -967,23 +844,15 @@ fn dispatch(
                 })
                 .collect();
             let json = Json::Obj(vec![("backends".into(), Json::Arr(list))]);
-            (200, CT_JSON, json.serialize(), Vec::new())
+            Answer::json(200, json.serialize())
         }
         ("POST", "/shutdown") => {
-            core.shutdown.store(true, Ordering::SeqCst);
+            core.front.shutdown.store(true, Ordering::SeqCst);
             let json = Json::Obj(vec![("status".into(), Json::Str("shutting_down".into()))]);
-            (200, CT_JSON, json.serialize(), Vec::new())
+            Answer::json(200, json.serialize())
         }
-        _ => (404, CT_JSON, error_body(&format!("no route {method} {path}")), Vec::new()),
+        _ => Answer::json(404, error_body(&format!("no route {method} {path}"))),
     }
-}
-
-fn error_body(msg: &str) -> String {
-    Json::Obj(vec![
-        ("status".into(), Json::Str("bad_request".into())),
-        ("message".into(), Json::Str(msg.into())),
-    ])
-    .serialize()
 }
 
 #[cfg(test)]

@@ -1,12 +1,13 @@
 //! The `cfmapd` HTTP server.
 //!
-//! Plain `std`: a `TcpListener` accept loop feeds accepted connections
-//! through a *bounded* `sync_channel` to a fixed pool of worker
-//! threads, each of which parses HTTP/1.1 requests, dispatches them
-//! against the shared [`Engine`], and answers. When the admission queue
-//! is full, new connections are shed with `503` + `Retry-After` rather
-//! than buffered without bound. No async runtime, no HTTP library — the
-//! protocol subset needed lives in [`crate::http`].
+//! Plain `std`: the front end shared with `cfmapd-router`
+//! (`http::serve`) accepts connections, admits them through a
+//! *bounded* queue to a fixed pool of worker threads, and sheds the
+//! overflow with `503` + `Retry-After` rather than buffering it without
+//! bound. This module supplies what is the daemon's own: the routes,
+//! answered against the shared [`Engine`], their metrics and access
+//! log, fault injection, the background fitter and the drain watchdog.
+//! No async runtime, no HTTP library.
 //!
 //! Connections close after one request unless the client explicitly
 //! sends `Connection: keep-alive`, in which case the worker serves up
@@ -51,39 +52,18 @@
 //! binary's `--watch-stdin` mode (see `src/bin/cfmapd.rs`).
 
 use crate::engine::Engine;
-use crate::http::{self, read_request, write_response_extra, ReadError};
+pub use crate::http::ShutdownHandle;
+use crate::http::{self, error_body, Answer, Front, Request, Tier, CT_JSON, CT_METRICS};
 use crate::json::{parse, Json};
 use crate::snapshot::{certificate_json, write_atomic};
 use crate::wire::{MapRequest, MapResponse, ParetoRequest, ParetoResponse};
 use cfmap_core::budget::clock;
-use cfmap_core::metrics::{Counter, Gauge, Histogram, DEFAULT_LATENCY_BUCKETS_US};
-use std::io::BufReader;
-use std::net::{TcpListener, TcpStream};
+use cfmap_core::metrics::{Histogram, DEFAULT_LATENCY_BUCKETS_US};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant, SystemTime};
+use std::sync::Arc;
+use std::time::{Duration, SystemTime};
 use std::str::FromStr;
-
-/// How long a worker waits for a slow client before abandoning the
-/// connection.
-const IO_TIMEOUT: Duration = Duration::from_secs(10);
-
-/// How long a worker waits for the *next* request on a kept-alive
-/// connection. Much shorter than [`IO_TIMEOUT`]: an idle persistent
-/// connection pins a worker, so patience between requests is a direct
-/// tax on pool capacity (and on drain time at shutdown).
-const KEEPALIVE_IDLE_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// Read and write patience of a shed connection's `503`.
-const SHED_TIMEOUT: Duration = Duration::from_secs(2);
-
-/// `Content-Type` of every JSON answer.
-const CT_JSON: &str = "application/json";
-
-/// `Content-Type` of the `/metrics` answer (Prometheus text exposition
-/// format).
-const CT_METRICS: &str = "text/plain; version=0.0.4";
 
 /// `Content-Type` of the `GET /cache/save` answer (the snapshot's own
 /// header line carries the version and checksums).
@@ -147,59 +127,26 @@ impl Default for ServerConfig {
 /// A bound (but not yet running) server.
 pub struct CfmapServer {
     listener: TcpListener,
-    engine: Arc<Engine>,
-    shutdown: Arc<AtomicBool>,
-    requests: Arc<AtomicU64>,
-    workers: usize,
-    log_json: bool,
-    queue_capacity: usize,
+    daemon: Arc<Daemon>,
     drain_deadline: Duration,
-    fault_injection: bool,
-    max_requests_per_conn: usize,
-    queue_depth: Arc<Gauge>,
-    requests_shed: Arc<Counter>,
     drain_duration: Arc<Histogram>,
 }
 
-/// An accepted connection, stamped with its accept time on the budget
-/// clock. The first request's deadline anchors here so time spent
-/// waiting in the admission queue counts against the caller's
-/// `deadline_ms`.
-struct Conn {
-    stream: TcpStream,
-    accepted_us: u64,
-}
-
-/// Lets another thread stop a running [`CfmapServer`].
-#[derive(Clone)]
-pub struct ShutdownHandle {
-    flag: Arc<AtomicBool>,
-    addr: std::net::SocketAddr,
-}
-
-impl ShutdownHandle {
-    /// A handle for `flag` over the listener at `addr` (also used by
-    /// `cfmapd-router`, whose accept loop has the same shape).
-    pub(crate) fn new(flag: Arc<AtomicBool>, addr: std::net::SocketAddr) -> ShutdownHandle {
-        ShutdownHandle { flag, addr }
-    }
-
-    /// Ask the server to stop accepting and drain its workers.
-    pub fn shutdown(&self) {
-        self.flag.store(true, Ordering::SeqCst);
-        // Poke the blocking accept() so it observes the flag.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-    }
+/// The daemon's tier of the shared front end: the engine routes, their
+/// metrics and access log, and fault injection.
+struct Daemon {
+    engine: Engine,
+    front: Front,
+    requests: AtomicU64,
+    log_json: bool,
+    fault_injection: bool,
 }
 
 impl CfmapServer {
     /// Bind to `config.addr` and build the shared engine.
     pub fn bind(config: &ServerConfig) -> std::io::Result<CfmapServer> {
         let listener = TcpListener::bind(&config.addr)?;
-        let engine = Arc::new(Engine::new(
-            config.cache_capacity.max(1),
-            config.cache_shards.max(1),
-        ));
+        let engine = Engine::new(config.cache_capacity.max(1), config.cache_shards.max(1));
         if let Some(path) = &config.cache_load {
             let text = std::fs::read_to_string(path).map_err(|e| {
                 std::io::Error::new(e.kind(), format!("--cache-load {path}: {e}"))
@@ -231,21 +178,22 @@ impl CfmapServer {
             &[],
             DEFAULT_LATENCY_BUCKETS_US,
         );
-        Ok(CfmapServer {
-            listener,
-            engine,
-            shutdown: Arc::new(AtomicBool::new(false)),
-            requests: Arc::new(AtomicU64::new(0)),
+        let front = Front {
             workers: config.workers.max(1),
-            log_json: config.log_json,
-            queue_capacity: config.queue_capacity.max(1),
-            drain_deadline: config.drain_deadline,
-            fault_injection: config.fault_injection,
+            queue_capacity: config.queue_capacity,
             max_requests_per_conn: config.max_requests_per_conn.max(1),
+            shutdown: Arc::new(AtomicBool::new(false)),
             queue_depth,
-            requests_shed,
-            drain_duration,
-        })
+            shed: requests_shed,
+        };
+        let daemon = Arc::new(Daemon {
+            engine,
+            front,
+            requests: AtomicU64::new(0),
+            log_json: config.log_json,
+            fault_injection: config.fault_injection,
+        });
+        Ok(CfmapServer { listener, daemon, drain_deadline: config.drain_deadline, drain_duration })
     }
 
     /// The address actually bound (resolves port 0).
@@ -255,120 +203,42 @@ impl CfmapServer {
 
     /// A handle that can stop [`CfmapServer::run`] from another thread.
     pub fn shutdown_handle(&self) -> std::io::Result<ShutdownHandle> {
-        Ok(ShutdownHandle::new(Arc::clone(&self.shutdown), self.local_addr()?))
+        Ok(ShutdownHandle::new(Arc::clone(&self.daemon.front.shutdown), self.local_addr()?))
     }
 
     /// Accept and serve until shutdown is requested. Blocks the calling
     /// thread; returns once every worker has drained (bounded by the
     /// configured drain deadline — see [`ServerConfig::drain_deadline`]).
     pub fn run(self) -> std::io::Result<()> {
-        // A *bounded* queue is the admission-control contract: at most
-        // `queue_capacity` connections wait for a worker, and everything
-        // beyond that is shed immediately with 503 + Retry-After rather
-        // than buffered into an unbounded backlog the daemon can never
-        // serve within anyone's deadline.
-        let (tx, rx) = mpsc::sync_channel::<Conn>(self.queue_capacity);
-        let rx = Arc::new(Mutex::new(rx));
+        let CfmapServer { listener, daemon, drain_deadline, drain_duration } = self;
         // The background fitter promotes observed schedule families to
         // certificates off the request path. Detached on purpose: a fit
         // step can spend seconds solving probe instances, and shutdown
         // must not wait for it — the thread notices the flag at its next
         // step and exits on its own (the process exits regardless).
         {
-            let engine = Arc::clone(&self.engine);
-            let shutdown = Arc::clone(&self.shutdown);
+            let daemon = Arc::clone(&daemon);
             std::thread::spawn(move || {
-                while !shutdown.load(Ordering::SeqCst) {
-                    if !engine.family_fit_step() {
+                while !daemon.front.shutdown.load(Ordering::SeqCst) {
+                    if !daemon.engine.family_fit_step() {
                         std::thread::sleep(FITTER_IDLE_NAP);
                     }
                 }
             });
         }
-        let mut pool = Vec::with_capacity(self.workers);
-        for _ in 0..self.workers {
-            let rx = Arc::clone(&rx);
-            let engine = Arc::clone(&self.engine);
-            let shutdown = Arc::clone(&self.shutdown);
-            let requests = Arc::clone(&self.requests);
-            let queue_depth = Arc::clone(&self.queue_depth);
-            let workers = self.workers;
-            let log_json = self.log_json;
-            let fault_injection = self.fault_injection;
-            let max_requests_per_conn = self.max_requests_per_conn;
-            pool.push(std::thread::spawn(move || loop {
-                // Holding the receiver lock only while popping keeps the
-                // other workers runnable during request handling.
-                let conn = match rx.lock() {
-                    Ok(guard) => guard.recv(),
-                    Err(_) => break,
-                };
-                let Ok(conn) = conn else { break };
-                queue_depth.add(-1);
-                // A panicking request must not kill the worker — after
-                // `workers` such requests the daemon would still accept
-                // connections but never answer them. `dispatch` already
-                // converts its own panics to 500s; this guard covers the
-                // I/O path too (no response then, but the worker lives).
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    handle_connection(
-                        conn,
-                        &engine,
-                        &shutdown,
-                        &requests,
-                        &queue_depth,
-                        workers,
-                        log_json,
-                        fault_injection,
-                        max_requests_per_conn,
-                    );
-                }));
-            }));
-        }
-        for conn in self.listener.incoming() {
-            if self.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Ok(stream) = conn else { continue };
-            let conn = Conn { stream, accepted_us: clock::now_micros() };
-            self.queue_depth.add(1);
-            match tx.try_send(conn) {
-                Ok(()) => {}
-                Err(mpsc::TrySendError::Full(conn)) => {
-                    self.queue_depth.add(-1);
-                    self.requests_shed.inc();
-                    shed_connection(conn.stream);
-                }
-                Err(mpsc::TrySendError::Disconnected(_)) => {
-                    self.queue_depth.add(-1);
-                    break;
-                }
-            }
-        }
-        // Graceful drain: closing the sender lets workers finish every
-        // queued connection, then their recv() errors out. A watchdog
-        // bounds the wait — past the drain deadline it cancels the
-        // engine's searches, which winds in-flight requests down to
-        // best-effort answers within one candidate's latency.
+        let pool = http::serve(&listener, Arc::clone(&daemon));
+        // Graceful drain: the workers answer every queued connection,
+        // then exit. A watchdog bounds the wait — past the drain
+        // deadline it cancels the engine's searches, which winds
+        // in-flight requests down to best-effort answers within one
+        // candidate's latency.
         let drain_started = clock::now_micros();
-        drop(tx);
         let drained = Arc::new(AtomicBool::new(false));
         let watchdog = {
             let drained = Arc::clone(&drained);
-            let cancel = self.engine.cancel_token();
-            let deadline = self.drain_deadline;
+            let cancel = daemon.engine.cancel_token();
             std::thread::spawn(move || {
-                let step = Duration::from_millis(25);
-                let mut waited = Duration::ZERO;
-                while waited < deadline {
-                    if drained.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let nap = step.min(deadline - waited);
-                    std::thread::sleep(nap);
-                    waited += nap;
-                }
-                if !drained.load(Ordering::SeqCst) {
+                if !http::wait_for(&drained, drain_deadline) {
                     cancel.cancel();
                 }
             })
@@ -378,36 +248,54 @@ impl CfmapServer {
         }
         drained.store(true, Ordering::SeqCst);
         let _ = watchdog.join();
-        self.drain_duration
-            .observe_micros(clock::now_micros().saturating_sub(drain_started));
+        drain_duration.observe_micros(clock::now_micros().saturating_sub(drain_started));
         Ok(())
     }
 }
 
-/// Answer a shed connection with `503` + `Retry-After` on a short-lived
-/// thread, so a slow client cannot stall the accept loop. The client's
-/// request is drained (bounded, under socket timeouts) before the
-/// response, so the kernel does not reset the connection with the 503
-/// still unread.
-fn shed_connection(stream: TcpStream) {
-    std::thread::spawn(move || {
-        let mut stream = stream;
-        let _ = http::tune(&stream, SHED_TIMEOUT, SHED_TIMEOUT);
-        if let Ok(clone) = stream.try_clone() {
-            let mut reader = BufReader::new(clone);
-            let _ = read_request(&mut reader);
+impl Tier for Daemon {
+    fn front(&self) -> &Front {
+        &self.front
+    }
+
+    fn answer(&self, req: &Request, anchor_us: u64) -> Answer {
+        if self.fault_injection {
+            apply_fault(req.fault.as_deref());
         }
-        let body = Json::Obj(vec![
-            ("status".into(), Json::Str("overloaded".into())),
-            (
-                "message".into(),
-                Json::Str("admission queue full; retry after the Retry-After delay".into()),
-            ),
-        ])
-        .serialize();
-        let _ =
-            write_response_extra(&mut stream, 503, CT_JSON, &body, &[("Retry-After", "1")], false);
-    });
+        let (status, content_type, body) =
+            dispatch(self, &req.method, &req.path, &req.body, anchor_us);
+        Answer { status, content_type, body, headers: Vec::new() }
+    }
+
+    fn account(&self, req: Option<&Request>, answer: &Answer, elapsed: Duration) {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        let route = req.map_or("unparsed", |r| route_label(&r.method, &r.path));
+        let status = answer.status.to_string();
+        let registry = self.engine.metrics();
+        registry
+            .counter(
+                "cfmapd_requests_total",
+                "Requests answered, by route and status",
+                &[("route", route), ("status", &status)],
+            )
+            .inc();
+        registry
+            .histogram(
+                "cfmapd_request_duration_seconds",
+                "Request latency from first byte to response, by route",
+                &[("route", route)],
+                DEFAULT_LATENCY_BUCKETS_US,
+            )
+            .observe(elapsed);
+        if self.log_json {
+            let (method, path) = req.map_or(("", ""), |r| (r.method.as_str(), r.path.as_str()));
+            access_log_line(method, path, answer.status, elapsed, answer.body.len());
+        }
+    }
+
+    fn shed_body(&self) -> String {
+        http::status_body("overloaded", "admission queue full; retry after the Retry-After delay")
+    }
 }
 
 /// The route label a request is accounted under. Known routes keep
@@ -427,137 +315,6 @@ fn route_label(method: &str, path: &str) -> &'static str {
         ("GET" | "POST", "/cache/save") => "/cache/save",
         ("POST", "/shutdown") => "/shutdown",
         _ => "other",
-    }
-}
-
-/// Serve one connection: parse, dispatch, answer — then, if the client
-/// opted into keep-alive and the request parsed cleanly, loop for the
-/// next request on the same socket (up to `max_requests_per_conn`).
-/// Parse failures and shutdown always close: after a framing error the
-/// stream position is unknown, and a draining server must release its
-/// workers.
-#[allow(clippy::too_many_arguments)]
-fn handle_connection(
-    conn: Conn,
-    engine: &Engine,
-    shutdown: &AtomicBool,
-    requests: &AtomicU64,
-    queue_depth: &Gauge,
-    workers: usize,
-    log_json: bool,
-    fault_injection: bool,
-    max_requests_per_conn: usize,
-) {
-    let Conn { stream, accepted_us } = conn;
-    let _ = http::tune(&stream, IO_TIMEOUT, IO_TIMEOUT);
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let mut stream = stream;
-    // The first request's deadline anchors at *accept* time (queueing
-    // counts against it); later requests on a kept-alive connection
-    // anchor at their first byte, so the idle wait between requests is
-    // charged neither to a deadline nor to the latency histogram.
-    let mut anchor_us = accepted_us;
-    let mut served = 0usize;
-    loop {
-        // A bare shutdown poke (connect + close) — or a keep-alive
-        // client hanging up, or going quiet past the idle clock, between
-        // requests — answers nothing.
-        if !http::await_request(&mut reader) {
-            return;
-        }
-        let started = Instant::now();
-        if served > 0 {
-            anchor_us = clock::now_micros();
-            // The idle clock covered only the wait; the rest of the
-            // request reads under the full request timeout.
-            let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-        }
-        let mut route = "unparsed";
-        let mut req_line = (String::new(), String::new());
-        let mut client_keep_alive = false;
-        let (status, content_type, body) = match read_request(&mut reader) {
-            Err(ReadError::Empty) => return,
-            Err(ReadError::TooLarge) => (413, CT_JSON, error_body("request body too large")),
-            Err(ReadError::Malformed(msg)) => (400, CT_JSON, error_body(&msg)),
-            Ok(req) => {
-                client_keep_alive = req.keep_alive;
-                route = route_label(&req.method, &req.path);
-                req_line = (req.method.clone(), req.path.clone());
-                // Answer 500 instead of unwinding through the worker: the
-                // engine's locks all tolerate poisoning (see `cache.rs`), so
-                // serving can continue after a handler panic.
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    if fault_injection {
-                        apply_fault(req.fault.as_deref());
-                    }
-                    dispatch(
-                        &req.method,
-                        &req.path,
-                        &req.body,
-                        engine,
-                        shutdown,
-                        requests,
-                        queue_depth,
-                        workers,
-                        anchor_us,
-                    )
-                }))
-                .unwrap_or_else(|_| {
-                    let body = Json::Obj(vec![
-                        ("status".into(), Json::Str("internal_error".into())),
-                        ("message".into(), Json::Str("request handler panicked".into())),
-                    ]);
-                    (500, CT_JSON, body.serialize())
-                })
-            }
-        };
-        served += 1;
-        requests.fetch_add(1, Ordering::Relaxed);
-        let keep = client_keep_alive
-            && route != "unparsed"
-            && served < max_requests_per_conn
-            && !shutdown.load(Ordering::SeqCst);
-        let elapsed = started.elapsed();
-        let status_text = status.to_string();
-        let registry = engine.metrics();
-        registry
-            .counter(
-                "cfmapd_requests_total",
-                "Requests answered, by route and status",
-                &[("route", route), ("status", &status_text)],
-            )
-            .inc();
-        registry
-            .histogram(
-                "cfmapd_request_duration_seconds",
-                "Request latency from first byte to response, by route",
-                &[("route", route)],
-                cfmap_core::metrics::DEFAULT_LATENCY_BUCKETS_US,
-            )
-            .observe(elapsed);
-        let write_ok =
-            write_response_extra(&mut stream, status, content_type, &body, &[], keep).is_ok();
-        if log_json {
-            access_log_line(&req_line.0, &req_line.1, status, elapsed, body.len());
-        }
-        if shutdown.load(Ordering::SeqCst) {
-            // An accepted socket's local address is the listener's address
-            // (they share the listening port), so one loopback connect is
-            // enough to unblock the accept loop and let it see the flag.
-            if let Ok(addr) = stream.local_addr() {
-                let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
-            }
-            return;
-        }
-        if !keep || !write_ok {
-            return;
-        }
-        // Between requests a persistent connection waits on a short
-        // idle clock, not the full request timeout.
-        let _ = stream.set_read_timeout(Some(KEEPALIVE_IDLE_TIMEOUT));
     }
 }
 
@@ -584,10 +341,10 @@ fn access_log_line(method: &str, path: &str, status: u16, elapsed: Duration, byt
 }
 
 /// Execute an injected fault (only reached when the server was started
-/// with fault injection enabled). `panic` unwinds inside the dispatch
-/// guard — the request answers 500 and the worker survives; `stall-ms:N`
-/// parks the worker for `N` milliseconds (capped at 10 s) to simulate a
-/// wedged search.
+/// with fault injection enabled). `panic` unwinds inside the front
+/// end's per-request guard — the request answers 500 and the worker
+/// survives; `stall-ms:N` parks the worker for `N` milliseconds (capped
+/// at 10 s) to simulate a wedged search.
 fn apply_fault(fault: Option<&str>) {
     match fault {
         Some("panic") => panic!("injected fault: panic"),
@@ -601,18 +358,16 @@ fn apply_fault(fault: Option<&str>) {
 }
 
 /// Route a parsed request. Returns status, `Content-Type`, and body.
-#[allow(clippy::too_many_arguments)]
 fn dispatch(
+    daemon: &Daemon,
     method: &str,
     path: &str,
     body: &str,
-    engine: &Engine,
-    shutdown: &AtomicBool,
-    requests: &AtomicU64,
-    queue_depth: &Gauge,
-    workers: usize,
     accepted_us: u64,
 ) -> (u16, &'static str, String) {
+    let Daemon { engine, front, requests, .. } = daemon;
+    let Front { shutdown, queue_depth, workers, .. } = front;
+    let workers = *workers;
     if method == "POST" {
         if let Some((status, body)) = answer_post(engine, path, body, accepted_us) {
             return (status, CT_JSON, body);
@@ -754,15 +509,9 @@ fn dispatch(
                             ])
                             .serialize(),
                         ),
-                        Err(e) => (
-                            500,
-                            CT_JSON,
-                            Json::Obj(vec![
-                                ("status".into(), Json::Str("io_error".into())),
-                                ("message".into(), Json::Str(format!("{path}: {e}"))),
-                            ])
-                            .serialize(),
-                        ),
+                        Err(e) => {
+                            (500, CT_JSON, http::status_body("io_error", &format!("{path}: {e}")))
+                        }
                     }
                 }
             }
@@ -845,12 +594,4 @@ fn parse_batch(body: &str) -> Result<Vec<MapRequest>, String> {
     arr.iter()
         .map(|v| MapRequest::from_json(v).map_err(|e| e.msg))
         .collect()
-}
-
-fn error_body(msg: &str) -> String {
-    Json::Obj(vec![
-        ("status".into(), Json::Str("bad_request".into())),
-        ("message".into(), Json::Str(msg.into())),
-    ])
-    .serialize()
 }

@@ -236,6 +236,16 @@ done
 B1_PID=
 B2_PID=
 
+echo "== smoke: benchmark — all four workloads through both daemons"
+# Builds the benchmark package against this tree and drives map-cold,
+# map-warm, pareto-cold and fleet-warmstart (1 s each) through cfmapd and
+# cfmapd-router, checking every answer; it exits non-zero on a wrong
+# answer. A renamed public item the benchmark imports, or a fault in the
+# serving loop, fails here before it fails a benchmark run. Its outputs
+# stay under target/benchmark/.
+bash benchmark/run.sh --smoke > /dev/null \
+    || { echo "benchmark smoke failed"; exit 1; }
+
 echo "== smoke: family warm-start — save, restart, warm hit"
 # Daemon 1 solves three sizes of the matmul family; its background
 # fitter mints an affine-in-μ certificate; the snapshot ships to disk.

@@ -85,7 +85,11 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let opts = match parse_opts(&args[1..]) {
+    let Some(reads) = options_of(command) else {
+        eprintln!("error: unknown command {command:?}");
+        return ExitCode::from(2);
+    };
+    let opts = match parse_opts(&args[1..], command, reads) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
@@ -102,11 +106,10 @@ fn main() -> ExitCode {
         "bounds" => cmd_bounds(&opts),
         "client" => cmd_client(&opts),
         "list" => cmd_list(),
-        "help" | "--help" | "-h" => {
+        _ => {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(CliError::Usage(format!("unknown command {other:?}"))),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -170,13 +173,43 @@ EXIT CODES:
 
 type Opts = HashMap<String, String>;
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
+/// The options `command` reads, or `None` for an unknown command. Any
+/// other `--key` is a usage error, so a misspelt or misplaced option is
+/// refused instead of silently ignored.
+fn options_of(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "map" => &["alg", "mu", "space", "cap", "max-candidates", "timeout-ms", "trace"],
+        "analyze" => &["alg", "mu", "space", "pi"],
+        "simulate" => &["alg", "mu", "space", "pi", "diagram"],
+        "space-opt" => &["alg", "mu", "pi", "entry-bound", "max-candidates", "timeout-ms", "trace"],
+        "pareto" => &[
+            "alg", "mu", "space", "pi", "cap", "entry-bound", "max-candidates", "timeout-ms",
+            "bandwidth", "max-pes", "max-wires", "max-bandwidth",
+        ],
+        "joint" => &["alg", "mu", "criterion", "max-candidates", "timeout-ms", "trace"],
+        "bounds" => &["alg", "mu"],
+        "client" => &[
+            "addr", "connect-timeout-ms", "read-timeout-ms", "write-timeout-ms", "retries", "get",
+            "post", "body", "alg", "mu", "space", "cap", "max-candidates", "timeout-ms",
+            "deadline-ms",
+        ],
+        "list" | "help" | "--help" | "-h" => &[],
+        _ => return None,
+    })
+}
+
+/// Parse `--key value` pairs (`--diagram`, `--trace` and `--bandwidth`
+/// take no value), refusing any key `command` does not read.
+fn parse_opts(args: &[String], command: &str, reads: &[&str]) -> Result<Opts, String> {
     let mut map = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(key) = a.strip_prefix("--") else {
             return Err(format!("expected --option, got {a:?}"));
         };
+        if !reads.contains(&key) {
+            return Err(format!("unknown option {a:?} for `cfmap {command}`"));
+        }
         if key == "diagram" || key == "trace" || key == "bandwidth" {
             map.insert(key.to_string(), "true".to_string());
             continue;

@@ -15,8 +15,9 @@
 //! Shutdown: `POST /shutdown`, or start with `--watch-stdin` and close
 //! stdin (the supervisor idiom shared with `cfmapd`).
 
+use cfmap::service::parse_count;
 use cfmap::service::router::{CfmapRouter, RouterConfig};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -44,6 +45,7 @@ OPTIONS:
 
 ROUTES:
   POST /map        canonicalize, ring-route, forward with failover
+  POST /pareto     ring-route (canonical key when space-pinned, else the body), forward
   POST /batch      ring-route by the first canonicalizable member
   GET  /healthz    router liveness + backend up-count
   GET  /readyz     200 while at least one backend is routable
@@ -82,19 +84,13 @@ fn main() -> ExitCode {
     let _ = std::io::stdout().flush();
 
     if watch_stdin {
-        let stop = match router.shutdown_handle() {
-            Ok(h) => h,
+        match router.shutdown_handle() {
+            Ok(stop) => stop.shutdown_at_stdin_eof(),
             Err(e) => {
                 eprintln!("error: no shutdown handle: {e}");
                 return ExitCode::FAILURE;
             }
-        };
-        std::thread::spawn(move || {
-            let mut sink = [0u8; 4096];
-            let mut stdin = std::io::stdin();
-            while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
-            stop.shutdown();
-        });
+        }
     }
 
     match router.run() {
@@ -150,13 +146,4 @@ fn parse_config(args: &[String]) -> Result<Option<(RouterConfig, bool)>, String>
         return Err("at least one --backend is required".into());
     }
     Ok(Some((config, watch_stdin)))
-}
-
-fn parse_count(value: Option<&String>, flag: &str) -> Result<usize, String> {
-    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    let n: usize = v.parse().map_err(|_| format!("bad {flag} value {v:?}"))?;
-    if n == 0 {
-        return Err(format!("{flag} must be ≥ 1"));
-    }
-    Ok(n)
 }

@@ -16,8 +16,9 @@
 //! closing a pipe — plain `std` has no signal API, so SIGTERM handling
 //! belongs to the process supervisor).
 
+use cfmap::service::parse_count;
 use cfmap::service::server::{CfmapServer, ServerConfig};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -49,6 +50,7 @@ OPTIONS:
 
 ROUTES:
   POST /map          one mapping request        POST /batch   {\"requests\": [...]}
+  POST /pareto       Pareto frontier (time × PEs × wires)
   GET  /stats        cache + search counters    GET  /healthz liveness (+ draining, queue depth)
   GET  /metrics      Prometheus text format     GET  /readyz  readiness (503 while draining)
   GET  /family       schedule-family catalogue  GET  /cache/save  snapshot as text
@@ -57,7 +59,7 @@ ROUTES:
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let config = match parse_config(&args) {
+    let (config, watch_stdin) = match parse_config(&args) {
         Ok(Some(c)) => c,
         Ok(None) => {
             println!("{USAGE}");
@@ -68,7 +70,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let (config, watch_stdin) = config;
     let server = match CfmapServer::bind(&config) {
         Ok(s) => s,
         Err(e) => {
@@ -89,20 +90,13 @@ fn main() -> ExitCode {
     let _ = std::io::stdout().flush();
 
     if watch_stdin {
-        let stop = match server.shutdown_handle() {
-            Ok(h) => h,
+        match server.shutdown_handle() {
+            Ok(stop) => stop.shutdown_at_stdin_eof(),
             Err(e) => {
                 eprintln!("error: no shutdown handle: {e}");
                 return ExitCode::FAILURE;
             }
-        };
-        std::thread::spawn(move || {
-            // Block until the supervisor closes our stdin, then drain.
-            let mut sink = [0u8; 4096];
-            let mut stdin = std::io::stdin();
-            while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
-            stop.shutdown();
-        });
+        }
     }
 
     match server.run() {
@@ -160,13 +154,4 @@ fn parse_config(args: &[String]) -> Result<Option<(ServerConfig, bool)>, String>
         }
     }
     Ok(Some((config, watch_stdin)))
-}
-
-fn parse_count(value: Option<&String>, flag: &str) -> Result<usize, String> {
-    let v = value.ok_or_else(|| format!("{flag} needs a value"))?;
-    let n: usize = v.parse().map_err(|_| format!("bad {flag} value {v:?}"))?;
-    if n == 0 {
-        return Err(format!("{flag} must be ≥ 1"));
-    }
-    Ok(n)
 }

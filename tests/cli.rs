@@ -276,3 +276,18 @@ fn space_opt_finds_nothing_under_an_invalid_schedule() {
     assert_eq!(code, 1, "stdout: {stdout}\nstderr: {stderr}");
     assert!(!stdout.contains("certified"), "{stdout}");
 }
+
+/// A command refuses every option it does not read, naming it: a
+/// misspelt or misplaced option must not be ignored without a word.
+#[test]
+fn commands_refuse_options_they_do_not_read() {
+    let space_opt = ["space-opt", "--alg", "matmul", "--mu", "4", "--pi", "1,4,1", "--cap", "0"];
+    let map = ["map", "--alg", "matmul", "--mu", "4", "--space", "1,1,-1", "--entry-bnd", "9"];
+    for (args, option) in [(&space_opt, "--cap"), (&map, "--entry-bnd")] {
+        let (code, stdout, stderr) = cfmap_code(args);
+        assert_eq!(code, 2, "{args:?}: {stdout}{stderr}");
+        assert!(stderr.contains(&format!("unknown option {option:?}")), "{stderr}");
+        assert!(stdout.is_empty(), "{args:?} must not run: {stdout}");
+    }
+}
+

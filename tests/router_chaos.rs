@@ -16,12 +16,14 @@
 //! seed printed in the assertion message.
 
 use cfmap::service::client::{self, Client, ClientConfig};
+use cfmap::service::http;
 use cfmap::service::json::{parse, Json};
 use cfmap::service::router::{CfmapRouter, RouterConfig};
 use cfmap::service::wire::{MapRequest, MapResponse, RouterReject, RouterRejectKind};
 use cfmap_testkit::fault::{run_action, FaultAction, FleetEvent, FleetPlan};
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::str::FromStr;
 use std::time::{Duration, Instant};
@@ -651,6 +653,101 @@ fn sequential_keep_alive_round_trips_do_not_stall() {
         .ok()
         .and_then(|j| j.get("backends")?.as_arr()?.first()?.get("pooled_connections")?.as_i64());
     assert!(pooled.is_some_and(|n| n >= 1), "the upstream hop pooled nothing: {body}");
+
+    stop_router(router);
+    backend.stop();
+}
+
+/// Wait until the router at `addr` answers `/readyz` with `200`.
+fn wait_ready(addr: &str) {
+    assert!(
+        wait_until(Duration::from_secs(5), || {
+            client::get(addr, "/readyz").map(|r| r.status == 200).unwrap_or(false)
+        }),
+        "router never became ready"
+    );
+}
+
+/// Once a request's first byte has arrived, the router reads the rest
+/// under the full request timeout, not the 2 s keep-alive idle clock:
+/// on one kept-alive connection, a second `/map` whose body follows its
+/// head by 2.6 s is answered with the backend's own body.
+#[test]
+fn slow_body_on_a_kept_alive_connection_is_answered() {
+    let backend = BackendProc::spawn();
+    let router = start_router(std::slice::from_ref(&backend.addr));
+    wait_ready(&router.addr);
+    let body = key_request(4).to_json().serialize();
+    // Solve once, so every answer below is the same cached body.
+    let _ = client::post(&backend.addr, "/map", &body).expect("backend answers");
+    let direct = client::post(&backend.addr, "/map", &body).expect("backend answers");
+    assert_eq!(direct.status, 200, "{}", direct.body);
+
+    let mut stream = TcpStream::connect(&router.addr).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let head = format!(
+        "POST /map HTTP/1.1\r\nHost: {}\r\nConnection: keep-alive\r\nContent-Length: {}\r\n\r\n",
+        router.addr,
+        body.len()
+    );
+    for pause in [Duration::ZERO, Duration::from_millis(2_600)] {
+        stream.write_all(head.as_bytes()).expect("request head");
+        std::thread::sleep(pause);
+        stream.write_all(body.as_bytes()).expect("request body");
+        let reply = http::read_response(&mut reader).expect("a framed answer");
+        assert_eq!((reply.status, &reply.body), (200, &direct.body), "body after {pause:?}");
+        assert!(reply.keep_alive, "the connection stays open after {pause:?}");
+    }
+
+    stop_router(router);
+    backend.stop();
+}
+
+/// Raw slow-loris bytes and half-written requests against the router
+/// must neither wedge nor kill its workers — the router's twin of
+/// `service_chaos::slow_loris_and_half_requests_leave_pool_intact`.
+#[test]
+fn slow_loris_and_half_requests_leave_the_router_serving() {
+    let backend = BackendProc::spawn();
+    let config = RouterConfig {
+        addr: "127.0.0.1:0".into(),
+        backends: vec![backend.addr.clone()],
+        workers: 2,
+        ..RouterConfig::default()
+    };
+    let bound = CfmapRouter::bind(&config).expect("router binds");
+    let addr = bound.local_addr().expect("router addr").to_string();
+    let router = RouterProc { addr: addr.clone(), handle: std::thread::spawn(move || bound.run()) };
+    wait_ready(&addr);
+    let body = key_request(4).to_json().serialize();
+
+    for keep in [0usize, 1, 10, 25, 40] {
+        let action = FaultAction::DisconnectMidRequest { keep_bytes: keep };
+        let out = run_action(&addr, "/map", &body, &action)
+            .expect("mid-request disconnect is not a transport error");
+        assert_eq!(out.status, None);
+    }
+    for _ in 0..3 {
+        let out = run_action(&addr, "/map", &body, &FaultAction::DisconnectBeforeResponse)
+            .expect("pre-response disconnect is not a transport error");
+        assert_eq!(out.status, None);
+    }
+    let out = run_action(&addr, "/map", &body, &FaultAction::SlowWrite { chunk: 3, delay_ms: 5 })
+        .expect("slow-loris request completes");
+    assert_eq!(out.status, Some(200), "{}", out.body);
+
+    // An unfinished request line that just stops pins one of the two
+    // workers until its read timeout; the other still serves.
+    let mut wedge = TcpStream::connect(&addr).expect("connect");
+    wedge.write_all(b"POST /map HTT").expect("half a request line");
+    let health = client::get(&addr, "/healthz").expect("router still serves /healthz");
+    assert_eq!(health.status, 200, "{}", health.body);
+    let reply = client::post(&addr, "/map", &body).expect("router still forwards");
+    assert_eq!(reply.status, 200, "{}", reply.body);
+    let resp = MapResponse::from_str(&reply.body).expect("wire body");
+    assert!(matches!(resp, MapResponse::Ok(_)), "{resp:?}");
+    drop(wedge);
 
     stop_router(router);
     backend.stop();
