@@ -32,8 +32,8 @@ use cfmap_core::metrics::{
 use cfmap_core::budget::clock;
 use cfmap_core::{
     canonicalize, BudgetLimit, CancelToken, CanonicalProblem, Canonicalization, Certification,
-    CfmapError, Deadline, HybridPolicy, MappingMatrix, ParetoSearch, Procedure51, ResourceModel,
-    SearchBudget, SearchTelemetry, SolveRoute, SpaceMap, SymmetryMode, TieBreak,
+    CfmapError, Deadline, HybridPolicy, MappingMatrix, ParetoPoint, ParetoSearch, Procedure51,
+    ResourceModel, SearchBudget, SearchTelemetry, SolveRoute, SpaceMap, SymmetryMode, TieBreak,
 };
 use cfmap_model::{algorithms, DependenceMatrix, IndexSet, LinearSchedule, Uda};
 use cfmap_systolic::{
@@ -675,12 +675,11 @@ impl Engine {
             max_bandwidth: req.max_bandwidth,
             include_bandwidth: req.include_bandwidth,
         };
-        let tracks_bandwidth = model.tracks_bandwidth();
         let probe = |m: &MappingMatrix| peak_link_load(&solve_alg, m);
         // Quotienting is bit-identical: the frontier keeps the
         // lex-greatest witness per vector, always an orbit representative.
         let mut search = ParetoSearch::new(&solve_alg)
-            .resources(model)
+            .resources(model.clone())
             .symmetry(SymmetryMode::Quotient);
         if let Some(s) = &solve_space {
             search = search.fixed_space(s);
@@ -694,7 +693,7 @@ impl Engine {
         if let Some(b) = req.entry_bound {
             search = search.entry_bound(b);
         }
-        if tracks_bandwidth {
+        if model.tracks_bandwidth() {
             search = search.bandwidth_probe(&probe);
         }
         let frontier = match search.solve() {
@@ -702,24 +701,15 @@ impl Engine {
             Err(e) => return ParetoResponse::Error(e),
         };
         self.pareto_solves.inc();
-        // Independent re-verification: every point must place its
-        // computations conflict-free on the simulated array, and its
-        // probed bandwidth must reproduce and respect the budget.
         for p in &frontier.points {
-            let started = Instant::now();
-            let verdict = Simulator::new(&solve_alg, &p.mapping).run();
-            self.pareto_verify.observe(started.elapsed());
-            let clean = match verdict {
-                Ok(report) => report.conflicts.is_empty(),
+            match self.verify_pareto_point(&solve_alg, p, &model) {
+                Ok(true) => {}
+                Ok(false) => {
+                    return ParetoResponse::Error(CfmapError::Internal {
+                        context: "pareto frontier verification".into(),
+                    })
+                }
                 Err(e) => return ParetoResponse::Error(e),
-            };
-            let bandwidth_ok = !tracks_bandwidth
-                || (peak_link_load(&solve_alg, &p.mapping) == p.bandwidth
-                    && req.max_bandwidth.is_none_or(|b| p.bandwidth.is_some_and(|x| x <= b)));
-            if !clean || !bandwidth_ok {
-                return ParetoResponse::Error(CfmapError::Internal {
-                    context: "pareto frontier verification".into(),
-                });
             }
         }
         let points: Vec<ParetoPointWire> = frontier
@@ -745,6 +735,28 @@ impl Engine {
         );
         self.pareto_cache.insert(key, cached.clone());
         respond_pareto(&cached, canon.as_ref(), req.space.as_deref(), false)
+    }
+
+    /// Independent re-verification of one fresh frontier point: the
+    /// simulated array runs its computations conflict-free in exactly
+    /// its `total_time` cycles, and with bandwidth tracked its peak link
+    /// load reproduces its `bandwidth` within the model's budget.
+    /// `Ok(false)` means the point must not be served.
+    fn verify_pareto_point(
+        &self,
+        alg: &Uda,
+        point: &ParetoPoint,
+        model: &ResourceModel,
+    ) -> Result<bool, CfmapError> {
+        let started = Instant::now();
+        let report = Simulator::new(alg, &point.mapping).run();
+        self.pareto_verify.observe(started.elapsed());
+        let report = report?;
+        let placed = report.conflicts.is_empty() && report.makespan() == point.total_time;
+        let bandwidth_ok = !model.tracks_bandwidth()
+            || (peak_link_load(alg, &point.mapping) == point.bandwidth
+                && model.max_bandwidth.is_none_or(|b| point.bandwidth.is_some_and(|x| x <= b)));
+        Ok(placed && bandwidth_ok)
     }
 
     /// Cache lookup falling back to a fresh search. Returns the outcome
@@ -1659,6 +1671,46 @@ mod tests {
             ParetoRequest { max_bandwidth: Some(0), include_bandwidth: true, ..pareto_matmul() };
         let ParetoResponse::Ok(empty) = engine.pareto(&starved) else { panic!("ok") };
         assert!(empty.points.is_empty(), "ok-with-empty-frontier, not an error");
+    }
+
+    /// The per-point check refuses a point whose reported time,
+    /// bandwidth or mapping no longer matches what the simulator and the
+    /// link-load probe observe, and a bandwidth over the budget.
+    #[test]
+    fn pareto_point_check_refuses_tampered_points() {
+        let engine = Engine::new(8, 1);
+        let alg = algorithms::matmul(2);
+        let probe = |m: &MappingMatrix| peak_link_load(&alg, m);
+        let tracked = ResourceModel { include_bandwidth: true, ..Default::default() };
+        let frontier = ParetoSearch::new(&alg)
+            .max_objective(8)
+            .resources(tracked.clone())
+            .bandwidth_probe(&probe)
+            .solve()
+            .expect("matmul μ=2 has a frontier");
+        let point = frontier.points[0].clone();
+        let bw = point.bandwidth.expect("bandwidth tracked");
+        let check = |p: &ParetoPoint, model: &ResourceModel| {
+            engine.verify_pareto_point(&alg, p, model).expect("the simulator runs")
+        };
+        assert!(check(&point, &tracked));
+        let late = ParetoPoint { total_time: point.total_time + 1, ..point.clone() };
+        assert!(!check(&late, &tracked), "tampered total_time");
+        let busier = ParetoPoint { bandwidth: Some(bw + 1), ..point.clone() };
+        assert!(!check(&busier, &tracked), "tampered bandwidth");
+        let budget = ResourceModel { max_bandwidth: Some(bw - 1), ..tracked.clone() };
+        assert!(!check(&point, &budget), "bandwidth over the budget");
+        // Same schedule, a space row that also maps γ = [π₂, −π₁, 0] to
+        // zero: two computations share a processor and a cycle.
+        let pi = point.schedule.as_slice();
+        let folded = SpaceMap::row(&[pi[0], pi[1], 0]);
+        let clashing = ParetoPoint {
+            mapping: MappingMatrix::new(folded, point.schedule.clone()),
+            ..point.clone()
+        };
+        let untracked = ResourceModel::default();
+        assert!(check(&point, &untracked));
+        assert!(!check(&clashing, &untracked), "tampered mapping");
     }
 
     #[test]

@@ -121,9 +121,23 @@ pub fn read_line_limited(
     Ok(Some(line))
 }
 
+/// Why a head that stopped before its blank line is refused.
+const HEAD_CUT_OFF: &str = "message head cut off before its blank line";
+
+/// The next line of a message head, `\n` included. A head counts only
+/// once its blank line has arrived: a line that ends at EOF, or EOF
+/// where a line should start, means the peer cut the head off.
+fn head_line(reader: &mut BufReader<TcpStream>, limit: usize) -> Result<String, ReadError> {
+    match read_line_limited(reader, limit)? {
+        Some(line) if line.ends_with('\n') => Ok(line),
+        _ => Err(ReadError::Malformed(HEAD_CUT_OFF.into())),
+    }
+}
+
 /// Read one `METHOD /path HTTP/1.x` request with an optional
 /// `Content-Length` body. The head (request line + headers) is bounded
-/// by [`MAX_HEAD_BYTES`], the body by [`MAX_BODY_BYTES`].
+/// by [`MAX_HEAD_BYTES`], the body by [`MAX_BODY_BYTES`]. A head cut
+/// off before its blank line is `Malformed`, never a request.
 pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadError> {
     let mut head_budget = MAX_HEAD_BYTES;
     let line = match read_line_limited(reader, head_budget) {
@@ -135,6 +149,9 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadEr
     if line.trim().is_empty() {
         return Err(ReadError::Empty);
     }
+    if !line.ends_with('\n') {
+        return Err(ReadError::Malformed(HEAD_CUT_OFF.into()));
+    }
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("").to_string();
@@ -145,10 +162,7 @@ pub fn read_request(reader: &mut BufReader<TcpStream>) -> Result<Request, ReadEr
     let mut fault: Option<String> = None;
     let mut keep_alive = false;
     loop {
-        let header = match read_line_limited(reader, head_budget)? {
-            None => break,
-            Some(h) => h,
-        };
+        let header = head_line(reader, head_budget)?;
         head_budget -= header.len().min(head_budget);
         let header = header.trim();
         if header.is_empty() {
@@ -301,7 +315,8 @@ fn proto_err(msg: impl Into<String>) -> std::io::Error {
 
 /// Read one HTTP/1.1 response. With a `Content-Length`, the body is
 /// framed exactly (the connection stays reusable); without one, the
-/// body runs to EOF (`Connection: close` framing).
+/// body runs to EOF (`Connection: close` framing). A head cut off
+/// before its blank line is an error, never a response.
 pub fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<Response> {
     read_response_within(reader, MAX_BODY_BYTES)
 }
@@ -313,7 +328,8 @@ pub(crate) fn read_response_within(
 ) -> std::io::Result<Response> {
     let mut head_budget = MAX_HEAD_BYTES;
     let status_line = match read_line_limited(reader, head_budget) {
-        Ok(Some(line)) => line,
+        Ok(Some(line)) if line.ends_with('\n') => line,
+        Ok(Some(_)) => return Err(proto_err(HEAD_CUT_OFF)),
         Ok(None) => return Err(proto_err("connection closed before a status line")),
         Err(ReadError::Malformed(m)) => return Err(proto_err(m)),
         Err(_) => return Err(proto_err("status line too large")),
@@ -329,9 +345,8 @@ pub(crate) fn read_response_within(
     let mut backend: Option<String> = None;
     let mut keep_alive = false;
     loop {
-        let header = match read_line_limited(reader, head_budget) {
-            Ok(Some(h)) => h,
-            Ok(None) => break,
+        let header = match head_line(reader, head_budget) {
+            Ok(h) => h,
             Err(ReadError::Malformed(m)) => return Err(proto_err(m)),
             Err(_) => return Err(proto_err("response head too large")),
         };
@@ -753,5 +768,58 @@ impl ShutdownHandle {
             while matches!(stdin.read(&mut sink), Ok(n) if n > 0) {}
             self.shutdown();
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A reader on a loopback connection whose peer sends `bytes` and
+    /// hangs up.
+    fn peer_sending(bytes: &'static [u8]) -> BufReader<TcpStream> {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            stream.write_all(bytes).expect("write");
+        });
+        BufReader::new(TcpStream::connect(addr).expect("connect"))
+    }
+
+    #[test]
+    fn a_response_head_cut_off_is_an_error() {
+        for bytes in [
+            &b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Len"[..],
+            b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n",
+            b"HTTP/1.1 200 OK",
+        ] {
+            let err = read_response(&mut peer_sending(bytes)).expect_err("a cut-off head");
+            assert!(err.to_string().contains(HEAD_CUT_OFF), "{bytes:?}: {err}");
+        }
+        let framed = read_response(&mut peer_sending(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}"))
+            .expect("a whole response");
+        assert_eq!((framed.status, framed.body.as_str()), (200, "{}"));
+        let to_eof = read_response(&mut peer_sending(b"HTTP/1.1 503 Busy\r\n\r\nlater"))
+            .expect("an EOF-framed response");
+        assert_eq!((to_eof.status, to_eof.body.as_str()), (503, "later"));
+    }
+
+    #[test]
+    fn a_request_head_cut_off_is_malformed() {
+        for bytes in [
+            &b"POST /cache/clear HTTP/1.1\r\nHost: x\r\nContent-Len"[..],
+            b"POST /cache/clear HTTP/1.1\r\nHost: x\r\n",
+            b"POST /cache/clear HTTP/1.1",
+        ] {
+            let read = read_request(&mut peer_sending(bytes));
+            assert!(
+                matches!(&read, Err(ReadError::Malformed(m)) if m == HEAD_CUT_OFF),
+                "{bytes:?} must be refused"
+            );
+        }
+        assert!(matches!(read_request(&mut peer_sending(b"")), Err(ReadError::Empty)));
+        let whole = read_request(&mut peer_sending(b"POST /map HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}"));
+        assert!(matches!(whole, Ok(r) if r.path == "/map" && r.body == "{}"));
     }
 }

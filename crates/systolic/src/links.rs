@@ -10,7 +10,7 @@
 //! module reports per-channel traffic analytics (data in flight, busiest
 //! link, occupancy) used by the experiment harness to compare designs.
 
-use cfmap_core::mapping::{route, InterconnectionPrimitives, Routing};
+use cfmap_core::mapping::Routing;
 use cfmap_core::MappingMatrix;
 use cfmap_model::{Point, Uda};
 use std::collections::HashMap;
@@ -162,49 +162,130 @@ pub fn simulate_channels(
 /// budget `Π·d̄ᵢ < ‖S·d̄ᵢ‖₁` — or a routed quantity leaves the `i64`
 /// interchange range; such a design has no well-defined link traffic
 /// and the resource model treats it as unschedulable.
+///
+/// On the mesh each primitive moves one coordinate by one, so a datum
+/// needs exactly `‖S·d̄ᵢ‖₁` hops: the routing of Definition 2.2
+/// condition 2 is closed-form — hops `‖S·d̄ᵢ‖₁`, buffers
+/// `Π·d̄ᵢ − ‖S·d̄ᵢ‖₁`, feasible iff no buffer count is negative — and
+/// equals what [`route`](cfmap_core::mapping::route) finds over
+/// [`InterconnectionPrimitives::mesh`](cfmap_core::mapping::InterconnectionPrimitives::mesh).
+/// A datum produced at `p̄` waits out its buffers at `S·p̄`, then hops
+/// along array axis 0 first, then axis 1, and so on, one link per
+/// cycle. Each hop is one fixed-stride `(cycle, link, PE)` record in one
+/// flat buffer; sorted by a hash of the record, then by the record, the
+/// longest run of equal records is the peak.
 pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
-    let prims = InterconnectionPrimitives::mesh(mapping.k() - 1);
-    let routing = route(mapping, &alg.deps, &prims).ok()?;
-    let deps = &alg.deps;
-    let prim_dims = mapping.k() - 1;
-    let sd_mat = mapping.space().as_mat() * deps.as_mat();
+    let dims = mapping.k() - 1;
+    let n = mapping.dim();
+    let mu = alg.index_set.mu();
+    // `T = [S; Π]` by rows and `D` by columns, as machine integers.
+    let t = mapping.as_mat().to_i64_rows()?;
+    let deps = alg.deps.as_mat();
+    let cols: Vec<Vec<i64>> = (0..deps.ncols())
+        .map(|i| (0..n).map(|c| deps.get(c, i).to_i64()).collect())
+        .collect::<Option<_>>()?;
 
-    // Load per (link source, axis, sign, cycle), all channels together.
-    let mut load: HashMap<(Vec<i64>, usize, i64, i64), u64> = HashMap::new();
-    for i in 0..deps.num_deps() {
-        let d = deps.dep_i64(i);
-        let hops = routing.hops[i].to_i64()?;
-        let buffers = routing.buffers[i].to_i64()?;
-        if hops == 0 {
+    // Route every channel before any traffic moves, as `route` does:
+    // `T·d̄ᵢ` exactly, then hops and buffers.
+    let mut channels = Vec::with_capacity(cols.len());
+    for d in &cols {
+        let td: Vec<i64> = t
+            .iter()
+            .map(|row| i64::try_from(dot_i128(row, d)?).ok())
+            .collect::<Option<_>>()?;
+        let hops: i128 = td[..dims].iter().map(|&x| i128::from(x).abs()).sum();
+        let buffers = td[dims].checked_sub(i64::try_from(hops).ok()?)?;
+        if buffers < 0 {
+            return None; // unroutable: the datum cannot arrive in time
+        }
+        channels.push((d, td, buffers));
+    }
+
+    let stride = dims + 2;
+    let mut records: Vec<i64> = Vec::new();
+    let mut keyed: Vec<(u64, usize)> = Vec::new();
+    let (mut lo, mut hi, mut p) = (vec![0i64; n], vec![0i64; n], vec![0i64; n]);
+    let mut pe = vec![0i64; dims];
+    for (d, td, buffers) in channels {
+        let sd = &td[..dims];
+        if sd.iter().all(|&x| x == 0) {
             continue; // stationary datum: no link traffic
         }
-        let sd: Vec<i64> = sd_mat.col(i).to_i64s()?;
-        let mut steps: Vec<(usize, i64)> = Vec::with_capacity(hops as usize);
-        for (dim, &delta) in sd.iter().enumerate().take(prim_dims) {
-            for _ in 0..delta.abs() {
-                steps.push((dim, delta.signum()));
-            }
+        // Producers: `p̄` and its consumer `p̄ + d̄` both in the box.
+        for c in 0..n {
+            lo[c] = d[c].saturating_neg().max(0);
+            hi[c] = mu[c].min(mu[c].saturating_sub(d[c]));
         }
-        while (steps.len() as i64) < hops {
-            steps.push((0, 1));
-            steps.push((0, -1));
+        if (0..n).any(|c| lo[c] > hi[c]) {
+            continue; // the dependence is longer than the box
         }
-        for j in alg.index_set.iter() {
-            let producer: Point = j.iter().zip(&d).map(|(&ji, &di)| ji - di).collect();
-            if !alg.index_set.contains(&producer) {
-                continue;
+        // Every coordinate and cycle the walk visits lies between the
+        // producers' `T·p̄` and `T·p̄ + T·d̄` (minus one cycle: the last
+        // hop leaves one cycle before the consumer runs).
+        for (r, row) in t.iter().enumerate() {
+            let reach = if r < dims { td[r] } else { td[r] - 1 };
+            let (mut min, mut max) = (0i128, 0i128);
+            for c in 0..n {
+                let a = i128::from(row[c]) * i128::from(lo[c]);
+                let b = i128::from(row[c]) * i128::from(hi[c]);
+                min = min.checked_add(a.min(b))?;
+                max = max.checked_add(a.max(b))?;
             }
-            let (src, t_prod) = mapping.apply(&producer);
-            let depart = t_prod + buffers;
-            let mut pos = src.clone();
-            for (h, &(dim, sgn)) in steps.iter().enumerate() {
-                let slot = depart + h as i64;
-                *load.entry((pos.clone(), dim, sgn, slot)).or_insert(0) += 1;
-                pos[dim] += sgn;
+            i64::try_from(min).ok()?.checked_add(reach)?;
+            i64::try_from(max).ok()?.checked_add(reach)?;
+        }
+        p.copy_from_slice(&lo);
+        loop {
+            for (coord, row) in pe.iter_mut().zip(&t) {
+                *coord = dot_wrapping(row, &p);
             }
+            let mut cycle = dot_wrapping(&t[dims], &p) + buffers;
+            for (axis, &delta) in sd.iter().enumerate() {
+                let link = 2 * axis as i64 + i64::from(delta > 0);
+                for _ in 0..delta.unsigned_abs() {
+                    let start = records.len();
+                    records.push(cycle);
+                    records.push(link);
+                    records.extend_from_slice(&pe);
+                    keyed.push((mix(&records[start..]), start));
+                    pe[axis] += delta.signum();
+                    cycle += 1;
+                }
+            }
+            // Lexicographic successor within the producer box.
+            let Some(c) = (0..n).rev().find(|&c| p[c] < hi[c]) else { break };
+            p[c] += 1;
+            p[c + 1..].copy_from_slice(&lo[c + 1..]);
         }
     }
-    Some(load.values().copied().max().unwrap_or(0))
+
+    // Sorted by key, then by record, equal records sit side by side.
+    let record = |start: usize| &records[start..start + stride];
+    keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| record(a.1).cmp(record(b.1))));
+    let same = |a: &(u64, usize), b: &(u64, usize)| a.0 == b.0 && record(a.1) == record(b.1);
+    let peak = keyed.chunk_by(same).map(<[(u64, usize)]>::len).max();
+    Some(peak.unwrap_or(0) as u64)
+}
+
+/// A 64-bit mix of a record's fields (FxHash's step): equal records get
+/// equal keys, and distinct ones almost never share one.
+fn mix(fields: &[i64]) -> u64 {
+    fields
+        .iter()
+        .fold(0u64, |h, &x| (h.rotate_left(5) ^ x as u64).wrapping_mul(0x517c_c1b7_2722_0a95))
+}
+
+/// `a·b` in `i128`; `None` when even that overflows.
+fn dot_i128(a: &[i64], b: &[i64]) -> Option<i128> {
+    a.iter()
+        .zip(b)
+        .try_fold(0i128, |acc, (&x, &y)| acc.checked_add(i128::from(x) * i128::from(y)))
+}
+
+/// `a·b` in wrapping `i64` arithmetic: exact whenever the true value
+/// fits `i64`, whatever its partial sums do.
+fn dot_wrapping(a: &[i64], b: &[i64]) -> i64 {
+    a.iter().zip(b).fold(0i64, |acc, (&x, &y)| acc.wrapping_add(x.wrapping_mul(y)))
 }
 
 #[cfg(test)]

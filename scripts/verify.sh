@@ -58,6 +58,7 @@ echo "== smoke: CLI exit codes"
 CFMAP=target/release/cfmap
 "$CFMAP" map --alg matmul --mu 4 --space 1,1,-1 > /dev/null
 "$CFMAP" pareto --alg matmul --mu 4 --space 1,1,-1 > /dev/null
+"$CFMAP" pareto --alg matmul --mu 3 --bandwidth > /dev/null
 "$CFMAP" joint --alg matmul --mu 3 > /dev/null
 SPACE_OPT=$("$CFMAP" space-opt --alg matmul --mu 4 --pi 1,4,1)
 printf '%s\n' "$SPACE_OPT" | grep -q "combined cost : 11" \
@@ -170,6 +171,17 @@ printf '%s\n' "$PI_METRICS" | grep -q '^cfmap_core_hnf_computations_total 0$' \
     || { echo "Hermite forms after the fixed-schedule /pareto, want 0"; exit 1; }
 printf '%s\n' "$PI_METRICS" | grep -q '^cfmap_core_exact_conflict_tests_total 0$' \
     || { echo "exact lattice tests after the fixed-schedule /pareto, want 0"; exit 1; }
+# Bandwidth gate: a joint frontier with the link-load axis. Its three
+# points (t = 13, 16, 19; bandwidth 2, 1, 1) are re-verified on the
+# simulator and by the link-load probe before they are served.
+BW=$("$CFMAP" client --addr "$ADDR" --post /pareto \
+    --body '{"algorithm":"matmul","mu":[3],"include_bandwidth":true}')
+printf '%s\n' "$BW" | grep -q '"frontier_size":3' \
+    || { echo "bandwidth /pareto frontier is not the expected three points: $BW"; exit 1; }
+printf '%s\n' "$BW" | grep -q '"verified":true' \
+    || { echo "bandwidth /pareto answered without verification: $BW"; exit 1; }
+printf '%s\n' "$BW" | grep -q '"total_time":13,[^}]*"bandwidth":2' \
+    || { echo "bandwidth /pareto lost its t = 13, bandwidth 2 point: $BW"; exit 1; }
 exec 9>&-          # close stdin: the daemon drains and exits
 wait "$CFMAPD_PID" || { echo "cfmapd did not exit cleanly"; exit 1; }
 CFMAPD_PID=

@@ -752,3 +752,35 @@ fn slow_loris_and_half_requests_leave_the_router_serving() {
     stop_router(router);
     backend.stop();
 }
+
+/// A `/map` whose head stops before its blank line is refused by the
+/// router's own framing with `400` and never forwarded: the backend
+/// accounts no `/map`, and the router no forward to it.
+#[test]
+fn cut_off_heads_are_never_forwarded() {
+    use std::io::Read;
+    let backend = BackendProc::spawn();
+    let router = start_router(std::slice::from_ref(&backend.addr));
+    wait_ready(&router.addr);
+    let body = key_request(4).to_json().serialize();
+    let head = format!("POST /map HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n", body.len());
+    for cut in [&head[..head.len() - 9], head.as_str()] {
+        let mut raw = TcpStream::connect(&router.addr).expect("connect");
+        raw.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+        raw.write_all(cut.as_bytes()).expect("partial head");
+        raw.shutdown(std::net::Shutdown::Write).expect("half-close");
+        let mut reply = String::new();
+        raw.read_to_string(&mut reply).expect("router answers and closes");
+        assert!(reply.starts_with("HTTP/1.1 400 "), "{cut:?}: {reply:?}");
+        assert!(reply.contains("message head cut off before its blank line"), "{cut:?}: {reply:?}");
+    }
+    let metrics = client::get(&backend.addr, "/metrics").expect("backend metrics").body;
+    assert!(!metrics.contains("route=\"/map\""), "the backend saw a /map: {metrics}");
+    assert_eq!(
+        router_metric(&router.addr, "cfmapd_router_requests_total", Some(&backend.addr)),
+        None,
+        "the router must not forward a cut-off head"
+    );
+    stop_router(router);
+    backend.stop();
+}

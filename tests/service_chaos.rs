@@ -352,3 +352,53 @@ fn slow_loris_and_half_requests_leave_pool_intact() {
 
     daemon.stop();
 }
+
+/// Send `head` and hang up the write side; return the raw answer.
+fn send_cut_off(addr: &str, head: &[u8]) -> String {
+    use std::io::Read;
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    raw.write_all(head).expect("partial head");
+    raw.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let mut reply = String::new();
+    raw.read_to_string(&mut reply).expect("server answers and closes");
+    reply
+}
+
+/// A request whose head stops before its blank line is never executed:
+/// a `/cache/clear` cut off mid-header (the client then half-closes)
+/// gets `400`, the cached design stays, and no `/cache/clear` is
+/// accounted. So does one cut off after a whole header line.
+#[test]
+fn cut_off_heads_are_refused_not_executed() {
+    let daemon = Daemon::spawn(&["--workers", "2"]);
+    let addr = daemon.addr.clone();
+    assert_workers_alive(&addr); // solves and caches one design
+    let entries = || {
+        let stats = client::get(&addr, "/stats").expect("stats").body;
+        parse(&stats).ok().and_then(|j| j.get("cache")?.get("entries")?.as_i64())
+    };
+    assert_eq!(entries(), Some(1));
+
+    for head in [
+        &b"POST /cache/clear HTTP/1.1\r\nHost: x\r\nContent-Len"[..],
+        b"POST /cache/clear HTTP/1.1\r\nHost: x\r\n",
+        b"POST /cache/clear HTTP/1.1",
+    ] {
+        let reply = send_cut_off(&addr, head);
+        let ctx = String::from_utf8_lossy(head);
+        assert!(reply.starts_with("HTTP/1.1 400 "), "{ctx}: {reply:?}");
+        assert!(reply.contains("message head cut off before its blank line"), "{ctx}: {reply:?}");
+        assert_eq!(entries(), Some(1), "{ctx}: the cache must keep its entry");
+    }
+    let metrics = client::get(&addr, "/metrics").expect("metrics scrape").body;
+    assert!(
+        !metrics.contains("route=\"/cache/clear\""),
+        "no /cache/clear may be accounted: {metrics}"
+    );
+    assert!(
+        metrics.contains("cfmapd_requests_total{route=\"unparsed\",status=\"400\"} 3"),
+        "the three refusals are accounted as unparsed 400s: {metrics}"
+    );
+    daemon.stop();
+}
