@@ -171,27 +171,25 @@ pub fn simulate_channels(
 /// [`InterconnectionPrimitives::mesh`](cfmap_core::mapping::InterconnectionPrimitives::mesh).
 /// A datum produced at `p̄` waits out its buffers at `S·p̄`, then hops
 /// along array axis 0 first, then axis 1, and so on, one link per
-/// cycle. Each hop is one fixed-stride `(cycle, link, PE)` record in one
-/// flat buffer; sorted by a hash of the record, then by the record, the
-/// longest run of equal records is the peak.
+/// cycle. Each hop is one `(cycle, link, PE)` event in one flat buffer;
+/// sorted, the longest run of equal events is the peak.
 pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
     let dims = mapping.k() - 1;
     let n = mapping.dim();
     let mu = alg.index_set.mu();
-    // `T = [S; Π]` by rows and `D` by columns, as machine integers.
+    // `T = [S; Π]` by rows, as machine integers: rows `0..dims` place a
+    // point on the array, row `dims` times it.
     let t = mapping.as_mat().to_i64_rows()?;
     let deps = alg.deps.as_mat();
-    let cols: Vec<Vec<i64>> = (0..deps.ncols())
-        .map(|i| (0..n).map(|c| deps.get(c, i).to_i64()).collect())
-        .collect::<Option<_>>()?;
 
     // Route every channel before any traffic moves, as `route` does:
     // `T·d̄ᵢ` exactly, then hops and buffers.
-    let mut channels = Vec::with_capacity(cols.len());
-    for d in &cols {
+    let mut channels = Vec::with_capacity(deps.ncols());
+    for i in 0..deps.ncols() {
+        let d: Vec<i64> = (0..n).map(|c| deps.get(c, i).to_i64()).collect::<Option<_>>()?;
         let td: Vec<i64> = t
             .iter()
-            .map(|row| i64::try_from(dot_i128(row, d)?).ok())
+            .map(|row| i64::try_from(dot_i128(row, &d)?).ok())
             .collect::<Option<_>>()?;
         let hops: i128 = td[..dims].iter().map(|&x| i128::from(x).abs()).sum();
         let buffers = td[dims].checked_sub(i64::try_from(hops).ok()?)?;
@@ -201,27 +199,22 @@ pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
         channels.push((d, td, buffers));
     }
 
-    let stride = dims + 2;
-    let mut records: Vec<i64> = Vec::new();
-    let mut keyed: Vec<(u64, usize)> = Vec::new();
-    let (mut lo, mut hi, mut p) = (vec![0i64; n], vec![0i64; n], vec![0i64; n]);
-    let mut pe = vec![0i64; dims];
+    // The walks: every moving channel with its producers `lo ≤ p̄ ≤ hi`
+    // (`p̄` and its consumer `p̄ + d̄` both in the box), and the box
+    // `low ≤ (PE, cycle) ≤ high` that holds all their hop events.
+    let mut walks = Vec::with_capacity(channels.len());
+    let (mut low, mut high) = (vec![i64::MAX; dims + 1], vec![i64::MIN; dims + 1]);
     for (d, td, buffers) in channels {
-        let sd = &td[..dims];
-        if sd.iter().all(|&x| x == 0) {
+        if td[..dims].iter().all(|&x| x == 0) {
             continue; // stationary datum: no link traffic
         }
-        // Producers: `p̄` and its consumer `p̄ + d̄` both in the box.
-        for c in 0..n {
-            lo[c] = d[c].saturating_neg().max(0);
-            hi[c] = mu[c].min(mu[c].saturating_sub(d[c]));
-        }
-        if (0..n).any(|c| lo[c] > hi[c]) {
+        let lo: Vec<i64> = d.iter().map(|&x| x.saturating_neg().max(0)).collect();
+        let hi: Vec<i64> = d.iter().zip(mu).map(|(&x, &m)| m.min(m.saturating_sub(x))).collect();
+        if lo.iter().zip(&hi).any(|(l, h)| l > h) {
             continue; // the dependence is longer than the box
         }
-        // Every coordinate and cycle the walk visits lies between the
-        // producers' `T·p̄` and `T·p̄ + T·d̄` (minus one cycle: the last
-        // hop leaves one cycle before the consumer runs).
+        // A datum visits `T·p̄` up to `T·p̄ + T·d̄`, minus one cycle: the
+        // last hop leaves one cycle before the consumer runs.
         for (r, row) in t.iter().enumerate() {
             let reach = if r < dims { td[r] } else { td[r] - 1 };
             let (mut min, mut max) = (0i128, 0i128);
@@ -231,48 +224,79 @@ pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
                 min = min.checked_add(a.min(b))?;
                 max = max.checked_add(a.max(b))?;
             }
-            i64::try_from(min).ok()?.checked_add(reach)?;
-            i64::try_from(max).ok()?.checked_add(reach)?;
+            let (min, max) = (i64::try_from(min).ok()?, i64::try_from(max).ok()?);
+            low[r] = low[r].min(min).min(min.checked_add(reach)?);
+            high[r] = high[r].max(max).max(max.checked_add(reach)?);
         }
-        p.copy_from_slice(&lo);
+        walks.push((lo, hi, td, buffers));
+    }
+
+    // An event `(cycle, link, PE)`, link `2·axis + [sign > 0]`, read in
+    // mixed radix over the box `low..=high` and the `2·dims` links, is
+    // one `u64` key — unless that product outgrows `u64`, which takes
+    // coordinates spread over most of the `i64` range. Then each event
+    // is an index into `records`, and records are compared instead.
+    let mut radix = Some(2 * dims as u64);
+    let mut weight = Vec::with_capacity(dims + 1);
+    for (&l, &h) in low.iter().zip(&high) {
+        weight.push(radix.unwrap_or(0));
+        let width = (h.wrapping_sub(l) as u64).checked_add(1);
+        radix = radix.zip(width).and_then(|(a, b)| a.checked_mul(b));
+    }
+    let exact = radix.is_some();
+    let stride = dims + 2;
+    let mut events: Vec<u64> = Vec::new();
+    let mut records: Vec<i64> = Vec::new();
+    // `base` is `T·p̄` and `at` the datum's `(PE, cycle)`, both indexed
+    // like the rows of `T`.
+    let (mut p, mut at, mut base) = (vec![0i64; n], vec![0i64; dims + 1], vec![0i64; dims + 1]);
+    for (lo, hi, td, buffers) in &walks {
+        p.copy_from_slice(lo);
+        for (x, row) in base.iter_mut().zip(&t) {
+            *x = dot_wrapping(row, &p);
+        }
         loop {
-            for (coord, row) in pe.iter_mut().zip(&t) {
-                *coord = dot_wrapping(row, &p);
-            }
-            let mut cycle = dot_wrapping(&t[dims], &p) + buffers;
-            for (axis, &delta) in sd.iter().enumerate() {
-                let link = 2 * axis as i64 + i64::from(delta > 0);
+            at.copy_from_slice(&base);
+            at[dims] += buffers;
+            for (axis, &delta) in td[..dims].iter().enumerate() {
+                let link = 2 * axis as u64 + u64::from(delta > 0);
                 for _ in 0..delta.unsigned_abs() {
-                    let start = records.len();
-                    records.push(cycle);
-                    records.push(link);
-                    records.extend_from_slice(&pe);
-                    keyed.push((mix(&records[start..]), start));
-                    pe[axis] += delta.signum();
-                    cycle += 1;
+                    if exact {
+                        let rebased = at.iter().zip(&low).map(|(&x, &l)| x.wrapping_sub(l) as u64);
+                        events.push(rebased.zip(&weight).fold(link, |key, (x, &w)| key + x * w));
+                    } else {
+                        events.push((records.len() / stride) as u64);
+                        records.extend_from_slice(&at);
+                        records.push(link as i64);
+                    }
+                    at[axis] += delta.signum();
+                    at[dims] = at[dims].wrapping_add(1); // one past the last hop may leave i64
                 }
             }
-            // Lexicographic successor within the producer box.
+            // Lexicographic successor within the producer box: one step
+            // on axis `c`, every later axis back to `lo`; `T·p̄` follows.
             let Some(c) = (0..n).rev().find(|&c| p[c] < hi[c]) else { break };
             p[c] += 1;
+            for (x, row) in base.iter_mut().zip(&t) {
+                *x = x.wrapping_add(row[c]);
+                for j in c + 1..n {
+                    *x = x.wrapping_sub(row[j].wrapping_mul(hi[j] - lo[j]));
+                }
+            }
             p[c + 1..].copy_from_slice(&lo[c + 1..]);
         }
     }
 
-    // Sorted by key, then by record, equal records sit side by side.
-    let record = |start: usize| &records[start..start + stride];
-    keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| record(a.1).cmp(record(b.1))));
-    let same = |a: &(u64, usize), b: &(u64, usize)| a.0 == b.0 && record(a.1) == record(b.1);
-    let peak = keyed.chunk_by(same).map(<[(u64, usize)]>::len).max();
+    // Sorted, equal events sit side by side.
+    let record = |e: &u64| &records[*e as usize * stride..][..stride];
+    if exact {
+        events.sort_unstable();
+    } else {
+        events.sort_unstable_by(|a, b| record(a).cmp(record(b)));
+    }
+    let same = |a: &u64, b: &u64| if exact { a == b } else { record(a) == record(b) };
+    let peak = events.chunk_by(same).map(<[u64]>::len).max();
     Some(peak.unwrap_or(0) as u64)
-}
-
-/// A 64-bit mix of a record's fields (FxHash's step): equal records get
-/// equal keys, and distinct ones almost never share one.
-fn mix(fields: &[i64]) -> u64 {
-    fields
-        .iter()
-        .fold(0u64, |h, &x| (h.rotate_left(5) ^ x as u64).wrapping_mul(0x517c_c1b7_2722_0a95))
 }
 
 /// `a·b` in `i128`; `None` when even that overflows.

@@ -300,6 +300,28 @@ fn large_entries_that_fit_match() {
     }
 }
 
+#[test]
+fn boxes_wider_than_u64_keys_match() {
+    // PE and cycle each span about 2³³ values, so the walk's bounding
+    // box times its links outgrows a `u64` key. The two channels still
+    // share links: `d̄ = e₂` from `p̄` and `d̄ = e₃` from `p̄ − e₂ + e₃`
+    // hop the same link in the same cycle, and one PE sends on one link
+    // in many different cycles.
+    let big = 1i64 << 33;
+    let alg = UdaBuilder::new("wide box")
+        .bounds(&[1, 3, 3])
+        .deps(&[&[0, 1, 0], &[0, 0, 1]])
+        .build();
+    let m = mapping(&[&[big, 1, 1]], &[big, 1, 2]);
+    assert_eq!(assert_kernel_matches(&alg, &m, "wide box"), Some(2));
+    let m = mapping(&[&[big, 1, 1], &[0, 0, 1]], &[-big, 2, 3]);
+    assert!(assert_kernel_matches(&alg, &m, "wide box, two rows").is_some());
+    // One PE sends on both of its links in the same cycle: two links,
+    // one datum each.
+    let m = mapping(&[&[big, 1, -1]], &[big, 1, 1]);
+    assert_eq!(assert_kernel_matches(&alg, &m, "wide box, both links"), Some(1));
+}
+
 /// A box of dimension `n` with bounds `mu[..n]` and the distinct
 /// nonzero dependences among the first `m` of `deps`' four-entry slots;
 /// the case is discarded when none is left.
