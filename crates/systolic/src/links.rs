@@ -171,7 +171,7 @@ pub fn simulate_channels(
 /// [`InterconnectionPrimitives::mesh`](cfmap_core::mapping::InterconnectionPrimitives::mesh).
 /// A datum produced at `p̄` waits out its buffers at `S·p̄`, then hops
 /// along array axis 0 first, then axis 1, and so on, one link per
-/// cycle. Each hop is one `(cycle, link, PE)` event in one flat buffer;
+/// cycle. Each hop is one `(PE, cycle, link)` event in one flat buffer;
 /// sorted, the longest run of equal events is the peak.
 pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
     let dims = mapping.k() - 1;
@@ -183,8 +183,12 @@ pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
     let deps = alg.deps.as_mat();
 
     // Route every channel before any traffic moves, as `route` does:
-    // `T·d̄ᵢ` exactly, then hops and buffers.
-    let mut channels = Vec::with_capacity(deps.ncols());
+    // `T·d̄ᵢ` exactly, then hops and buffers. The walks are the moving
+    // channels with their producers `lo ≤ p̄ ≤ hi` (`p̄` and its consumer
+    // `p̄ + d̄` both in the box); `low ≤ (PE, cycle) ≤ high` holds all
+    // their hop events.
+    let mut walks = Vec::with_capacity(deps.ncols());
+    let (mut low, mut high) = (vec![i64::MAX; dims + 1], vec![i64::MIN; dims + 1]);
     for i in 0..deps.ncols() {
         let d: Vec<i64> = (0..n).map(|c| deps.get(c, i).to_i64()).collect::<Option<_>>()?;
         let td: Vec<i64> = t
@@ -196,16 +200,7 @@ pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
         if buffers < 0 {
             return None; // unroutable: the datum cannot arrive in time
         }
-        channels.push((d, td, buffers));
-    }
-
-    // The walks: every moving channel with its producers `lo ≤ p̄ ≤ hi`
-    // (`p̄` and its consumer `p̄ + d̄` both in the box), and the box
-    // `low ≤ (PE, cycle) ≤ high` that holds all their hop events.
-    let mut walks = Vec::with_capacity(channels.len());
-    let (mut low, mut high) = (vec![i64::MAX; dims + 1], vec![i64::MIN; dims + 1]);
-    for (d, td, buffers) in channels {
-        if td[..dims].iter().all(|&x| x == 0) {
+        if hops == 0 {
             continue; // stationary datum: no link traffic
         }
         let lo: Vec<i64> = d.iter().map(|&x| x.saturating_neg().max(0)).collect();
@@ -231,7 +226,7 @@ pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
         walks.push((lo, hi, td, buffers));
     }
 
-    // An event `(cycle, link, PE)`, link `2·axis + [sign > 0]`, read in
+    // An event `(PE, cycle, link)`, link `2·axis + [sign > 0]`, read in
     // mixed radix over the box `low..=high` and the `2·dims` links, is
     // one `u64` key — unless that product outgrows `u64`, which takes
     // coordinates spread over most of the `i64` range. Then each event
