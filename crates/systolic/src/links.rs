@@ -171,8 +171,8 @@ pub fn simulate_channels(
 /// [`InterconnectionPrimitives::mesh`](cfmap_core::mapping::InterconnectionPrimitives::mesh).
 /// A datum produced at `p̄` waits out its buffers at `S·p̄`, then hops
 /// along array axis 0 first, then axis 1, and so on, one link per
-/// cycle. Each hop is one `(PE, cycle, link)` event in one flat buffer;
-/// sorted, the longest run of equal events is the peak.
+/// cycle. Each hop is one `(PE, cycle, link)` record in one flat
+/// buffer; sorted, the longest run of equal records is the peak.
 pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
     let dims = mapping.k() - 1;
     let n = mapping.dim();
@@ -185,10 +185,8 @@ pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
     // Route every channel before any traffic moves, as `route` does:
     // `T·d̄ᵢ` exactly, then hops and buffers. The walks are the moving
     // channels with their producers `lo ≤ p̄ ≤ hi` (`p̄` and its consumer
-    // `p̄ + d̄` both in the box); `low ≤ (PE, cycle) ≤ high` holds all
-    // their hop events.
+    // `p̄ + d̄` both in the box).
     let mut walks = Vec::with_capacity(deps.ncols());
-    let (mut low, mut high) = (vec![i64::MAX; dims + 1], vec![i64::MIN; dims + 1]);
     for i in 0..deps.ncols() {
         let d: Vec<i64> = (0..n).map(|c| deps.get(c, i).to_i64()).collect::<Option<_>>()?;
         let td: Vec<i64> = t
@@ -208,8 +206,9 @@ pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
         if lo.iter().zip(&hi).any(|(l, h)| l > h) {
             continue; // the dependence is longer than the box
         }
-        // A datum visits `T·p̄` up to `T·p̄ + T·d̄`, minus one cycle: the
-        // last hop leaves one cycle before the consumer runs.
+        // A datum visits `T·p̄` up to `T·p̄ + T·d̄`, minus one cycle (the
+        // last hop leaves one cycle before the consumer runs); every
+        // such PE coordinate and cycle must fit `i64`.
         for (r, row) in t.iter().enumerate() {
             let reach = if r < dims { td[r] } else { td[r] - 1 };
             let (mut min, mut max) = (0i128, 0i128);
@@ -219,31 +218,16 @@ pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
                 min = min.checked_add(a.min(b))?;
                 max = max.checked_add(a.max(b))?;
             }
-            let (min, max) = (i64::try_from(min).ok()?, i64::try_from(max).ok()?);
-            low[r] = low[r].min(min).min(min.checked_add(reach)?);
-            high[r] = high[r].max(max).max(max.checked_add(reach)?);
+            i64::try_from(min).ok()?.checked_add(reach)?;
+            i64::try_from(max).ok()?.checked_add(reach)?;
         }
         walks.push((lo, hi, td, buffers));
     }
 
-    // An event `(PE, cycle, link)`, link `2·axis + [sign > 0]`, read in
-    // mixed radix over the box `low..=high` and the `2·dims` links, is
-    // one `u64` key — unless that product outgrows `u64`, which takes
-    // coordinates spread over most of the `i64` range. Then each event
-    // is an index into `records`, and records are compared instead.
-    let mut radix = Some(2 * dims as u64);
-    let mut weight = Vec::with_capacity(dims + 1);
-    for (&l, &h) in low.iter().zip(&high) {
-        weight.push(radix.unwrap_or(0));
-        let width = (h.wrapping_sub(l) as u64).checked_add(1);
-        radix = radix.zip(width).and_then(|(a, b)| a.checked_mul(b));
-    }
-    let exact = radix.is_some();
-    let stride = dims + 2;
-    let mut events: Vec<u64> = Vec::new();
+    // Every hop appends its record `(PE, cycle, link)`, link
+    // `2·axis + [sign > 0]`, to `records`. `base` is `T·p̄` and `at` the
+    // datum's `(PE, cycle)`, both indexed like the rows of `T`.
     let mut records: Vec<i64> = Vec::new();
-    // `base` is `T·p̄` and `at` the datum's `(PE, cycle)`, both indexed
-    // like the rows of `T`.
     let (mut p, mut at, mut base) = (vec![0i64; n], vec![0i64; dims + 1], vec![0i64; dims + 1]);
     for (lo, hi, td, buffers) in &walks {
         p.copy_from_slice(lo);
@@ -254,16 +238,10 @@ pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
             at.copy_from_slice(&base);
             at[dims] += buffers;
             for (axis, &delta) in td[..dims].iter().enumerate() {
-                let link = 2 * axis as u64 + u64::from(delta > 0);
+                let link = 2 * axis as i64 + i64::from(delta > 0);
                 for _ in 0..delta.unsigned_abs() {
-                    if exact {
-                        let rebased = at.iter().zip(&low).map(|(&x, &l)| x.wrapping_sub(l) as u64);
-                        events.push(rebased.zip(&weight).fold(link, |key, (x, &w)| key + x * w));
-                    } else {
-                        events.push((records.len() / stride) as u64);
-                        records.extend_from_slice(&at);
-                        records.push(link as i64);
-                    }
+                    records.extend_from_slice(&at);
+                    records.push(link);
                     at[axis] += delta.signum();
                     at[dims] = at[dims].wrapping_add(1); // one past the last hop may leave i64
                 }
@@ -282,15 +260,10 @@ pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
         }
     }
 
-    // Sorted, equal events sit side by side.
-    let record = |e: &u64| &records[*e as usize * stride..][..stride];
-    if exact {
-        events.sort_unstable();
-    } else {
-        events.sort_unstable_by(|a, b| record(a).cmp(record(b)));
-    }
-    let same = |a: &u64, b: &u64| if exact { a == b } else { record(a) == record(b) };
-    let peak = events.chunk_by(same).map(<[u64]>::len).max();
+    // Sorted, equal records sit side by side.
+    let mut events: Vec<&[i64]> = records.chunks_exact(dims + 2).collect();
+    events.sort_unstable();
+    let peak = events.chunk_by(|a, b| a == b).map(<[&[i64]]>::len).max();
     Some(peak.unwrap_or(0) as u64)
 }
 
