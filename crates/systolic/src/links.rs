@@ -171,8 +171,8 @@ pub fn simulate_channels(
 /// [`InterconnectionPrimitives::mesh`](cfmap_core::mapping::InterconnectionPrimitives::mesh).
 /// A datum produced at `p̄` waits out its buffers at `S·p̄`, then hops
 /// along array axis 0 first, then axis 1, and so on, one link per
-/// cycle. Each hop is one `(PE, cycle, link)` record in one flat
-/// buffer; sorted, the longest run of equal records is the peak.
+/// cycle. Each hop is one `(PE, cycle, link)` event in one flat buffer;
+/// sorted, the longest run of equal events is the peak.
 pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
     let dims = mapping.k() - 1;
     let n = mapping.dim();
@@ -185,8 +185,10 @@ pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
     // Route every channel before any traffic moves, as `route` does:
     // `T·d̄ᵢ` exactly, then hops and buffers. The walks are the moving
     // channels with their producers `lo ≤ p̄ ≤ hi` (`p̄` and its consumer
-    // `p̄ + d̄` both in the box).
+    // `p̄ + d̄` both in the box); `low ≤ (PE, cycle) ≤ high` holds all
+    // their hop events.
     let mut walks = Vec::with_capacity(deps.ncols());
+    let (mut low, mut high) = (vec![i64::MAX; dims + 1], vec![i64::MIN; dims + 1]);
     for i in 0..deps.ncols() {
         let d: Vec<i64> = (0..n).map(|c| deps.get(c, i).to_i64()).collect::<Option<_>>()?;
         let td: Vec<i64> = t
@@ -206,9 +208,8 @@ pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
         if lo.iter().zip(&hi).any(|(l, h)| l > h) {
             continue; // the dependence is longer than the box
         }
-        // A datum visits `T·p̄` up to `T·p̄ + T·d̄`, minus one cycle (the
-        // last hop leaves one cycle before the consumer runs); every
-        // such PE coordinate and cycle must fit `i64`.
+        // A datum visits `T·p̄` up to `T·p̄ + T·d̄`, minus one cycle: the
+        // last hop leaves one cycle before the consumer runs.
         for (r, row) in t.iter().enumerate() {
             let reach = if r < dims { td[r] } else { td[r] - 1 };
             let (mut min, mut max) = (0i128, 0i128);
@@ -218,16 +219,32 @@ pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
                 min = min.checked_add(a.min(b))?;
                 max = max.checked_add(a.max(b))?;
             }
-            i64::try_from(min).ok()?.checked_add(reach)?;
-            i64::try_from(max).ok()?.checked_add(reach)?;
+            let (min, max) = (i64::try_from(min).ok()?, i64::try_from(max).ok()?);
+            low[r] = low[r].min(min).min(min.checked_add(reach)?);
+            high[r] = high[r].max(max).max(max.checked_add(reach)?);
         }
         walks.push((lo, hi, td, buffers));
     }
 
-    // Every hop appends its record `(PE, cycle, link)`, link
-    // `2·axis + [sign > 0]`, to `records`. `base` is `T·p̄` and `at` the
-    // datum's `(PE, cycle)`, both indexed like the rows of `T`.
+    // An event `(PE, cycle, link)`, link `2·axis + [sign > 0]`, read in
+    // mixed radix over the box `low..=high` and the `2·dims` links, is
+    // one `u64` key. That radix, `2·dims` times the product of the
+    // `dims + 1` box widths, outgrows `u64` already at modest widths
+    // when `dims` is large (widths near 2⁷·⁵ at `dims = 7`); then each
+    // event is a fixed-stride record in `records` instead, and records
+    // are sorted as slices, about half as fast as keys.
+    let mut radix = Some(2 * dims as u64);
+    let mut weight = Vec::with_capacity(dims + 1);
+    for (&l, &h) in low.iter().zip(&high) {
+        weight.push(radix.unwrap_or(0));
+        let width = (h.wrapping_sub(l) as u64).checked_add(1);
+        radix = radix.zip(width).and_then(|(a, b)| a.checked_mul(b));
+    }
+    let exact = radix.is_some();
+    let mut keys: Vec<u64> = Vec::new();
     let mut records: Vec<i64> = Vec::new();
+    // `base` is `T·p̄` and `at` the datum's `(PE, cycle)`, both indexed
+    // like the rows of `T`.
     let (mut p, mut at, mut base) = (vec![0i64; n], vec![0i64; dims + 1], vec![0i64; dims + 1]);
     for (lo, hi, td, buffers) in &walks {
         p.copy_from_slice(lo);
@@ -238,10 +255,15 @@ pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
             at.copy_from_slice(&base);
             at[dims] += buffers;
             for (axis, &delta) in td[..dims].iter().enumerate() {
-                let link = 2 * axis as i64 + i64::from(delta > 0);
+                let link = 2 * axis as u64 + u64::from(delta > 0);
                 for _ in 0..delta.unsigned_abs() {
-                    records.extend_from_slice(&at);
-                    records.push(link);
+                    if exact {
+                        let rebased = at.iter().zip(&low).map(|(&x, &l)| x.wrapping_sub(l) as u64);
+                        keys.push(rebased.zip(&weight).fold(link, |key, (x, &w)| key + x * w));
+                    } else {
+                        records.extend_from_slice(&at);
+                        records.push(link as i64);
+                    }
                     at[axis] += delta.signum();
                     at[dims] = at[dims].wrapping_add(1); // one past the last hop may leave i64
                 }
@@ -260,11 +282,19 @@ pub fn peak_link_load(alg: &Uda, mapping: &MappingMatrix) -> Option<u64> {
         }
     }
 
-    // Sorted, equal records sit side by side.
-    let mut events: Vec<&[i64]> = records.chunks_exact(dims + 2).collect();
-    events.sort_unstable();
-    let peak = events.chunk_by(|a, b| a == b).map(<[&[i64]]>::len).max();
-    Some(peak.unwrap_or(0) as u64)
+    let peak = if exact {
+        longest_run(&mut keys)
+    } else {
+        longest_run(&mut records.chunks_exact(dims + 2).collect::<Vec<_>>())
+    };
+    Some(peak as u64)
+}
+
+/// The length of the longest run of equal items once `items` is
+/// sorted, where equal items sit side by side; 0 when empty.
+fn longest_run<T: Ord>(items: &mut [T]) -> usize {
+    items.sort_unstable();
+    items.chunk_by(|a, b| a == b).map(<[T]>::len).max().unwrap_or(0)
 }
 
 /// `a·b` in `i128`; `None` when even that overflows.

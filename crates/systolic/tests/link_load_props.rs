@@ -301,12 +301,12 @@ fn large_entries_that_fit_match() {
 }
 
 #[test]
-fn coordinates_spread_past_u64_boxes_match() {
-    // PE and cycle each span about 2³³ values, so no `u64` numbering of
-    // the walk's bounding box times its links exists. The two channels
-    // still share links: `d̄ = e₂` from `p̄` and `d̄ = e₃` from
-    // `p̄ − e₂ + e₃` hop the same link in the same cycle, and one PE
-    // sends on one link in many different cycles.
+fn boxes_wider_than_u64_keys_match() {
+    // PE and cycle each span about 2³³ values, so the walk's bounding
+    // box times its links outgrows a `u64` key. The two channels still
+    // share links: `d̄ = e₂` from `p̄` and `d̄ = e₃` from `p̄ − e₂ + e₃`
+    // hop the same link in the same cycle, and one PE sends on one link
+    // in many different cycles.
     let big = 1i64 << 33;
     let alg = UdaBuilder::new("wide box")
         .bounds(&[1, 3, 3])
