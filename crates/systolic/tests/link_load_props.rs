@@ -322,6 +322,37 @@ fn boxes_wider_than_u64_keys_match() {
     assert_eq!(assert_kernel_matches(&alg, &m, "wide box, both links"), Some(1));
 }
 
+#[test]
+fn eight_axes_at_modest_entries_outgrow_u64_keys() {
+    // n = 8 with seven PE rows, the widest problem `/pareto` serves:
+    // entries 20…32 give each of the eight rows of `T` a width near 200
+    // on the unit box, and 14 links times their product leaves `u64`.
+    let n = 8;
+    let space: Vec<Vec<i64>> = (0..n as i64 - 1)
+        .map(|r| (0..n as i64).map(|c| 20 + (3 * r + 5 * c) % 13).collect())
+        .collect();
+    let pi = vec![230; n];
+    let rows: Vec<&[i64]> = space.iter().map(Vec::as_slice).collect();
+    let m = mapping(&rows, &pi);
+    let e = |c: usize| (0..n).map(|i| i64::from(i == c)).collect::<Vec<i64>>();
+    let alg = UdaBuilder::new("eight axes")
+        .bounds(&[1; 8])
+        .deps(&[&e(0), &e(7)])
+        .build();
+    // `d̄ = e₀` alone has producers on a unit box in axes 1…7, so row
+    // `r` of `T` spans at least `Σ_{c ≥ 1} |T_rc|` values.
+    let t: Vec<&[i64]> = rows.iter().copied().chain([pi.as_slice()]).collect();
+    let radix = t.iter().try_fold(2 * (n as u64 - 1), |radix, row| {
+        radix.checked_mul(1 + row[1..].iter().map(|x| x.unsigned_abs()).sum::<u64>())
+    });
+    assert_eq!(radix, None, "the box fits u64 keys");
+    assert!(assert_kernel_matches(&alg, &m, "eight axes").is_some());
+    // The same design with its schedule one cycle short on axis 0.
+    let mut short = pi.clone();
+    short[0] = space.iter().map(|row| row[0]).sum::<i64>() - 1;
+    assert_eq!(assert_kernel_matches(&alg, &mapping(&rows, &short), "eight axes, short"), None);
+}
+
 /// A box of dimension `n` with bounds `mu[..n]` and the distinct
 /// nonzero dependences among the first `m` of `deps`' four-entry slots;
 /// the case is discarded when none is left.
